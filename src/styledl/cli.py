@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dataio
 from .baseline import aaknn_evaluate
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrainingError
 from .metrics import rank_table
 from .model import ABLATION_PRESETS
 from .training import (Checkpoint, TrainConfig, evaluate, load_train_config,
@@ -163,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError, OSError) as exc:
+    except (ValueError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,10 +7,20 @@ once in reverse topological order and accumulates gradients additively,
 so fan-out sums contributions exactly. Elementwise ops accept equal
 shapes or a scalar, nothing else; shape problems raise
 ``ContractViolation`` eagerly rather than relying on numpy broadcasting.
+
+Inside ``with no_grad():`` ops record nothing: outputs get no parents, no
+gradient closure and ``requires_grad == False``, so every intermediate
+buffer is freed as soon as the forward stops referring to it. Parameters
+keep ``requires_grad`` and the mode ends with the block, so a model
+trains as before once it is left. ``training.predict_batch`` (and with it
+``evaluate`` and ``styledl predict``) runs its forwards this way; wrap any
+other forward whose gradient is not needed in ``no_grad()`` too.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import contextlib
+import contextvars
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -261,9 +271,23 @@ class Tensor:
                 node._grad_fn(node.grad)
 
 
+_recording: contextvars.ContextVar[bool] = contextvars.ContextVar("styledl_recording",
+                                                                  default=True)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no tape for the ops run inside the block; nesting is allowed."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._grad_fn = grad_fn

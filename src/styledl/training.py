@@ -16,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (Manifest, cooccurrence_adjacency, flip_horizontal, load_images,
-                     load_manifest)
+from .dataio import Manifest, cooccurrence_adjacency, load_images
 from .errors import ConfigurationError, ContractViolation, FormatError, TrainingError
 from .losses import pred_loss, total_loss
 from .metrics import MetricReport, evaluate_metrics
 from .model import ABLATION_PRESETS, EmotionDistributionNet
-from .tensor import SGD, Tensor
+from .tensor import SGD, Tensor, no_grad
 
 CHECKPOINT_MAGIC = b"SEDL1"
 
@@ -155,48 +154,65 @@ class Checkpoint:
 
     @staticmethod
     def load(path: str | Path) -> "Checkpoint":
+        """Read a checkpoint file. A truncated or corrupt file raises
+        FormatError naming the path, the entry and the byte offset."""
         buf = Path(path).read_bytes()
         if buf[:5] != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic {buf[:5]!r}")
-        pos = 5
-        entries: dict[str, np.ndarray] = {}
-        while pos < len(buf):
-            (klen,) = struct.unpack_from("<I", buf, pos)
-            pos += 4
-            key = buf[pos:pos + klen].decode("utf-8")
-            pos += klen
-            (ndim,) = struct.unpack_from("<I", buf, pos)
-            pos += 4
-            shape = struct.unpack_from(f"<{ndim}I", buf, pos)
-            pos += 4 * ndim
-            count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape)
-            pos += 8 * count
-            entries[key] = arr.copy()
+        entries = _read_entries(buf, path)
+
+        def required(key: str) -> np.ndarray:
+            if key not in entries:
+                raise FormatError(f"{path}: missing entry {key!r} (file ends at offset {len(buf)})")
+            return entries[key]
+
         def scalar(key: str) -> float:
-            return float(entries[key].reshape(-1)[0])
+            arr = required(key)
+            if arr.size != 1:
+                raise FormatError(f"{path}: entry {key!r} is not a scalar")
+            return float(arr.reshape(()))
+
+        def integer(key: str) -> int:
+            raw = scalar(key)
+            if not raw.is_integer():
+                raise FormatError(f"{path}: entry {key!r} holds {raw}, not an integer")
+            return int(raw)
 
         cfg_values: dict = {}
         for field in dataclasses.fields(TrainConfig):
-            raw = scalar(f"config/{field.name}")
+            key = f"config/{field.name}"
             if field.name == "ablation":
-                cfg_values[field.name] = sorted(ABLATION_PRESETS)[int(raw)]
+                index = integer(key)
+                if not 0 <= index < len(ABLATION_PRESETS):
+                    raise FormatError(f"{path}: entry {key!r} holds unknown preset index {index}")
+                cfg_values[field.name] = sorted(ABLATION_PRESETS)[index]
             elif field.type in ("int", int):
-                cfg_values[field.name] = int(raw)
+                cfg_values[field.name] = integer(key)
             elif field.type in ("bool", bool):
-                cfg_values[field.name] = bool(raw)
+                cfg_values[field.name] = bool(integer(key))
             else:
-                cfg_values[field.name] = raw
-        names_arr = entries["meta/label_names"].astype(np.uint8)
-        label_names = names_arr.tobytes().decode("utf-8").split(",")
+                cfg_values[field.name] = scalar(key)
+        try:
+            config = TrainConfig(**cfg_values)
+        except ConfigurationError as exc:
+            raise FormatError(f"{path}: 'config/*' entries: {exc}") from None
+        try:
+            label_names = required("meta/label_names").astype(np.uint8).tobytes().decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: entry 'meta/label_names' is not utf-8") from None
+        params = {k[len("param/"):]: v for k, v in entries.items() if k.startswith("param/")}
+        velocity = {k[len("momentum/"):]: v for k, v in entries.items() if k.startswith("momentum/")}
+        if not params or set(velocity) != set(params):
+            raise FormatError(f"{path}: parameter and momentum entries do not match "
+                              f"(file ends at offset {len(buf)})")
         return Checkpoint(
-            config=TrainConfig(**cfg_values),
-            n_labels=int(scalar("meta/n_labels")),
-            label_names=label_names,
-            epoch=int(scalar("meta/epoch")),
-            params={k[len("param/"):]: v for k, v in entries.items() if k.startswith("param/")},
-            velocity={k[len("momentum/"):]: v for k, v in entries.items() if k.startswith("momentum/")},
-            adjacency=entries["adjacency/static"],
+            config=config,
+            n_labels=integer("meta/n_labels"),
+            label_names=label_names.split(","),
+            epoch=integer("meta/epoch"),
+            params=params,
+            velocity=velocity,
+            adjacency=required("adjacency/static"),
         )
 
     def build_model(self) -> EmotionDistributionNet:
@@ -210,6 +226,43 @@ class Checkpoint:
                 raise FormatError(f"checkpoint shape mismatch at {key}")
             target[key].data = arr.copy()
         return model
+
+
+def _read_entries(buf: bytes, path) -> dict[str, np.ndarray]:
+    """Decode every record after the magic, checking each read against the
+    size of the file."""
+    entries: dict[str, np.ndarray] = {}
+    pos, end = len(CHECKPOINT_MAGIC), len(buf)
+    label = "#0"
+
+    def need(size: int, what: str) -> None:
+        if size > end - pos:
+            raise FormatError(f"{path}: {what} of entry {label} runs past the end of the file "
+                              f"(offset {pos}, size {end})")
+
+    while pos < end:
+        label = f"#{len(entries)}"
+        need(4, "key length")
+        (klen,) = struct.unpack_from("<I", buf, pos)
+        pos += 4
+        need(klen, "key")
+        try:
+            key = buf[pos:pos + klen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: key of entry {label} is not utf-8 (offset {pos})") from None
+        label = repr(key)
+        pos += klen
+        need(4, "rank")
+        (ndim,) = struct.unpack_from("<I", buf, pos)
+        pos += 4
+        need(4 * ndim, "shape")
+        shape = struct.unpack_from(f"<{ndim}I", buf, pos)
+        pos += 4 * ndim
+        count = math.prod(shape)
+        need(8 * count, "payload")
+        entries[key] = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
+        pos += 8 * count
+    return entries
 
 
 def _snapshot(cfg: TrainConfig, manifest: Manifest, model: EmotionDistributionNet,
@@ -300,11 +353,15 @@ def train(cfg: TrainConfig, manifest: Manifest, root: str | Path,
 # -------------------------------------------------------------- evaluation
 def predict_batch(model: EmotionDistributionNet, images: np.ndarray,
                   batch_size: int = 16) -> np.ndarray:
-    """Final mixed distribution for every image, [N, C]."""
+    """Final mixed distribution for every image, [N, C].
+
+    The forwards run under ``no_grad()``: no tape is built, so each batch's
+    intermediates are freed as soon as it is done.
+    """
     outputs = []
-    for start in range(0, len(images), batch_size):
-        out = model.forward(Tensor(images[start:start + batch_size]))
-        outputs.append(out.y.data)
+    with no_grad():
+        for start in range(0, len(images), batch_size):
+            outputs.append(model.forward(Tensor(images[start:start + batch_size])).y.data)
     return np.concatenate(outputs) if outputs else np.zeros((0, model.n_labels))
 
 
@@ -319,17 +376,3 @@ def evaluate(checkpoint: Checkpoint, manifest: Manifest, root: str | Path,
     preds = predict_batch(model, images)
     return evaluate_metrics(manifest.distributions(), preds, normalize=normalize)
 
-
-def mean_final_kl(model: EmotionDistributionNet, images: np.ndarray,
-                  targets: np.ndarray) -> float:
-    """Mean KL(target || final y) over a dataset, the overfit yardstick."""
-    preds = predict_batch(model, images)
-    report = evaluate_metrics(targets, preds)
-    return report.mean["kl"]
-
-
-def evaluate_path(checkpoint_path: str | Path, manifest_path: str | Path,
-                  normalize: bool = True) -> MetricReport:
-    ckpt = Checkpoint.load(checkpoint_path)
-    manifest = load_manifest(manifest_path)
-    return evaluate(ckpt, manifest, Path(manifest_path).parent, normalize=normalize)

@@ -81,3 +81,16 @@ def test_cli_reports_errors_not_tracebacks(workdir, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["evaluate", "--checkpoint", str(root / "missing.ckpt"),
                  "--manifest", str(data / "manifest.txt")]) == 1
+
+
+def test_cli_reports_training_error(workdir, capsys, monkeypatch):
+    import styledl.training as train_mod
+    from styledl.tensor import Tensor
+
+    root, data, cfg = workdir
+    monkeypatch.setattr(train_mod, "pred_loss",
+                        lambda *args: Tensor(np.array(np.nan), requires_grad=True))
+    assert main(["train", "--config", str(cfg), "--manifest",
+                 str(data / "manifest.txt"), "--out", str(root / "nan.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 1: loss is not finite") and err.count("\n") == 1

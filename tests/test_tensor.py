@@ -235,6 +235,62 @@ def test_sigmoid_bounded_and_stable(seed):
     assert np.isfinite(s).all() and (s >= 0).all() and (s <= 1).all()
 
 
+# ---------------------------------------------------------------- no_grad
+def _every_op(x, w, b, gamma):
+    """One output per op kind, all built from tracked inputs."""
+    img = T.conv2d(x, w, b, stride=1, pad=1)
+    flat = img.reshape(2, -1)
+    return [
+        img, T.conv2d(x, w, stride=2, pad=1), T.layer_norm(img, gamma, b),
+        T.resample_nearest(img, 3, 3), T.upsample_nearest(img, 8, 8),
+        flat @ flat.transpose(), T.linear(flat, flat.transpose(), Tensor(np.ones(2))),
+        img + img, img * 2.0, 1.0 - img, img / 4.0, T.grad_reverse(img),
+        T.concat([img, img], axis=1), T.repeat_axis(img.sum(axis=1).reshape(2, 1, 4, 4), 1, 3),
+        img.flatten(), img.sum(), img.mean(axis=0), img.max(axis=1), img.relu(),
+        img.leaky_relu(), img.sigmoid(), img.softmax(axis=1), img.clamp_min(0.0),
+        img.clamp_min(0.1).log(),
+    ]
+
+
+def _op_inputs():
+    r = np.random.default_rng(5)
+    return (Tensor(r.standard_normal((2, 3, 4, 4)), requires_grad=True),
+            Tensor(r.standard_normal((3, 3, 3, 3)), requires_grad=True),
+            Tensor(r.standard_normal(3), requires_grad=True),
+            Tensor(r.random(3) + 0.5, requires_grad=True))
+
+
+def _untracked(t):
+    return t._parents == () and t._grad_fn is None and not t.requires_grad
+
+
+def test_no_grad_outputs_carry_no_tape():
+    inputs = _op_inputs()
+    taped = _every_op(*inputs)
+    assert all(t.requires_grad and t._grad_fn is not None for t in taped)
+    with T.no_grad():
+        free = _every_op(*inputs)
+    assert all(_untracked(t) for t in free)
+    for a, b in zip(taped, free):
+        np.testing.assert_array_equal(a.data, b.data)
+    assert all(t.requires_grad for t in inputs)
+
+
+def test_no_grad_restored_after_exception_and_nesting():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ContractViolation):
+        with T.no_grad():
+            Tensor(np.ones(2)) + Tensor(np.ones(3))
+    assert (w * 2.0)._grad_fn is not None
+    with T.no_grad():
+        with T.no_grad():
+            assert _untracked(w * 2.0)
+        assert _untracked(w * 2.0)
+    y = (w * w).sum()
+    y.backward()
+    np.testing.assert_allclose(w.grad, 2 * w.data)
+
+
 # ------------------------------------------------------------------- SGD
 def test_sgd_zero_lr_is_noop():
     p = Tensor(rng.standard_normal((3, 3)), requires_grad=True)

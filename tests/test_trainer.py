@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 
 import styledl.training as train_mod
+from styledl.cli import main
 from styledl.dataio import load_manifest, synth_generate
 from styledl.errors import ConfigurationError, FormatError, TrainingError
-from styledl.tensor import Tensor
+from styledl.losses import pred_loss
+from styledl.model import ABLATION_PRESETS
+from styledl.tensor import Tensor, no_grad
 from styledl.training import (Checkpoint, TrainConfig, build_model, evaluate,
-                           load_train_config, lr_at, save_train_config, train)
+                           load_train_config, lr_at, predict_batch, save_train_config,
+                           train)
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +186,44 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         Checkpoint.load(p)
 
 
+def _cut_points(size):
+    """Every cut in the first 200 bytes (each field of the first config
+    records), then an even spread up to the last byte."""
+    return sorted(set(range(0, 200)) | set(np.linspace(200, size - 1, 60).astype(int)))
+
+
+def test_checkpoint_truncations_raise_format_error(corpus, tmp_path, capsys):
+    manifest, root = corpus
+    whole = tmp_path / "whole.ckpt"
+    train(_fast_cfg(epochs=1, ablation="full"), manifest, root, out_path=whole)
+    buf = whole.read_bytes()
+    image = str(root / manifest.records[0].image_path)
+    cut = tmp_path / "cut.ckpt"
+    for n in _cut_points(len(buf)):
+        cut.write_bytes(buf[:n])
+        with pytest.raises(FormatError, match="cut.ckpt"):
+            Checkpoint.load(cut)
+        if n % 7 == 0:
+            assert main(["predict", "--checkpoint", str(cut), "--image", image]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("config/ablation", 99.0), ("config/lr", -1.0), ("meta/epoch", 1.5),
+    ("meta/n_labels", np.nan), ("meta/label_names", 255.0)])
+def test_checkpoint_corrupt_values_raise_format_error(corpus, tmp_path, key, value):
+    manifest, root = corpus
+    path = tmp_path / "bad.ckpt"
+    train(_fast_cfg(epochs=1), manifest, root, out_path=path)
+    buf = bytearray(path.read_bytes())
+    at = buf.index(key.encode()) + len(key) + 8  # past the rank and the one extent
+    buf[at:at + 8] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(buf))
+    with pytest.raises(FormatError, match=key.split("/")[-1]):
+        Checkpoint.load(path)
+
+
 def test_evaluate_label_mismatch(corpus, tmp_path):
     manifest, root = corpus
     ckpt, _ = train(_fast_cfg(epochs=1), manifest, root)
@@ -204,3 +246,45 @@ def test_build_model_respects_config():
     cfg = TrainConfig(R=3, ablation="full", input_size=32)
     model = build_model(cfg, n_labels=5)
     assert model.orders == 3 and model.n_labels == 5
+
+
+# ----------------------------------------------------------- inference
+@pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
+def test_predict_batch_matches_taped_forward(preset):
+    model = build_model(_fast_cfg(ablation=preset), n_labels=4)
+    x = np.random.default_rng(3).random((3, 3, 32, 32))
+    taped = model.forward(Tensor(x)).y
+    assert taped._grad_fn is not None
+    np.testing.assert_array_equal(predict_batch(model, x), taped.data)
+
+
+def test_training_after_predict_records_tape():
+    model = build_model(_fast_cfg(ablation="full"), n_labels=4)
+    x = np.random.default_rng(4).random((2, 3, 32, 32))
+    targets = np.random.default_rng(5).dirichlet(np.ones(4), size=2)
+    predict_batch(model, x)
+    params = model.parameters()
+    assert all(t.requires_grad for t in params.values())
+
+    def loss_value():
+        out = model.forward(Tensor(x))
+        return pred_loss(out.y_e, out.y_emotion, targets)
+
+    loss = loss_value()
+    assert loss._grad_fn is not None
+    loss.backward()
+    h = 1e-6
+    for key in ("backbone/stage0/down/w", "fusion/conv_sc/w", "gcn/w_s"):
+        param = params[key]
+        flat = param.data.reshape(-1)
+        for i in (0, flat.size // 2):
+            keep = flat[i]
+            with no_grad():
+                flat[i] = keep + h
+                up = loss_value().item()
+                flat[i] = keep - h
+                down = loss_value().item()
+            flat[i] = keep
+            numeric = (up - down) / (2 * h)
+            analytic = param.grad.reshape(-1)[i]
+            assert abs(analytic - numeric) <= 1e-6 + 1e-4 * abs(numeric), (key, i)
