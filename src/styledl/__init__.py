@@ -5,7 +5,7 @@ from .errors import (ConfigurationError, ContractViolation, FormatError,
                      TrainingError, ValidationError)
 from .losses import combine_final, kl_loss, pred_loss, total_loss
 from .metrics import MetricReport, average_rank, competition_rank, evaluate_metrics, rank_table
-from .model import ABLATION_PRESETS, AblationFlags, EmotionDistributionNet, forward_full
+from .model import ABLATION_PRESETS, AblationFlags, EmotionDistributionNet
 from .tensor import SGD, Tensor
 from .training import Checkpoint, TrainConfig, build_model, evaluate, lr_at, train
 
@@ -16,6 +16,6 @@ __all__ = [
     "ContractViolation", "EmotionDistributionNet", "FormatError", "MetricReport",
     "SGD", "Tensor", "TrainConfig", "TrainingError", "ValidationError",
     "average_rank", "build_model", "combine_final", "competition_rank",
-    "evaluate", "evaluate_metrics", "forward_full", "kl_loss", "lr_at",
-    "pred_loss", "rank_table", "total_loss", "train",
+    "evaluate", "evaluate_metrics", "kl_loss", "lr_at", "pred_loss",
+    "rank_table", "total_loss", "train",
 ]

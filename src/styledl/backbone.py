@@ -91,12 +91,3 @@ def _validate_config(cfg: BackboneConfig) -> None:
         raise ConfigurationError(f"stage_channels must be nondecreasing, got {cfg.stage_channels}")
     if cfg.in_channels < 1:
         raise ConfigurationError(f"in_channels {cfg.in_channels}")
-
-
-def build_backbone(cfg: BackboneConfig, seed: int) -> Backbone:
-    """Build with parameters drawn deterministically from the seed."""
-    return Backbone(cfg, np.random.default_rng(seed))
-
-
-def forward_taps(bb: Backbone, images: Tensor) -> FeatureTaps:
-    return bb.taps(images)

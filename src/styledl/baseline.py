@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 
+from .dataio import resize_nearest
 from .errors import ContractViolation
 from .metrics import MetricReport, evaluate_metrics
 
@@ -20,12 +21,8 @@ def knn_features(images: np.ndarray) -> np.ndarray:
     """[N,3,H,W] float images -> [N, 64] grayscale thumbnails."""
     if images.ndim != 4:
         raise ContractViolation(f"expected [N,C,H,W] images, got {images.shape}")
-    gray = images.mean(axis=1)
-    n, h, w = gray.shape
-    rows = (np.arange(FEATURE_SIDE) * h) // FEATURE_SIDE
-    cols = (np.arange(FEATURE_SIDE) * w) // FEATURE_SIDE
-    thumbs = gray[:, rows][:, :, cols]
-    return thumbs.reshape(n, FEATURE_SIDE * FEATURE_SIDE).astype(np.float64)
+    thumbs = resize_nearest(images.mean(axis=1), FEATURE_SIDE, FEATURE_SIDE)
+    return thumbs.reshape(len(images), FEATURE_SIDE * FEATURE_SIDE).astype(np.float64)
 
 
 def aaknn_predict(train_images: np.ndarray, train_targets: np.ndarray,

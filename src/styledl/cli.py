@@ -7,7 +7,7 @@ reports, and run the nearest-neighbour baseline.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,8 +15,8 @@ import numpy as np
 
 from . import dataio
 from .baseline import aaknn_evaluate
-from .errors import ConfigurationError, TrainingError
-from .metrics import rank_table
+from .errors import TrainingError
+from .metrics import load_report, rank_table
 from .model import ABLATION_PRESETS
 from .training import (Checkpoint, TrainConfig, evaluate, load_train_config,
                        predict_batch, train)
@@ -45,9 +45,6 @@ def _cmd_build_adj(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_train_config(args.config) if args.config else TrainConfig()
     if args.ablation:
-        if args.ablation not in ABLATION_PRESETS:
-            raise ConfigurationError(f"unknown ablation '{args.ablation}'")
-        import dataclasses
         cfg = dataclasses.replace(cfg, ablation=args.ablation)
     manifest = dataio.load_manifest(args.manifest)
     root = Path(args.manifest).parent
@@ -80,13 +77,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    entries = []
-    for path in args.reports:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        name = doc.get("name") or Path(path).stem
-        means = {m: v["mean"] for m, v in doc["metrics"].items()}
-        entries.append((name, means))
-    print(rank_table(entries))
+    print(rank_table([load_report(path) for path in args.reports]))
     return 0
 
 

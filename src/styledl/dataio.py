@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, FormatError, ValidationError
+from .tensor import nearest_index
 
 EMOTION_NAMES_8 = ("amusement", "anger", "awe", "contentment",
                    "disgust", "excitement", "fear", "sadness")
@@ -161,13 +162,9 @@ def save_ppm(path: str | Path, img: np.ndarray) -> None:
 
 def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     h, w = img.shape[-2:]
-    rows = (np.arange(out_h) * h) // out_h
-    cols = (np.arange(out_w) * w) // out_w
+    rows = nearest_index(h, out_h)
+    cols = nearest_index(w, out_w)
     return img[..., rows[:, None], cols[None, :]]
-
-
-def flip_horizontal(img: np.ndarray) -> np.ndarray:
-    return img[..., ::-1].copy()
 
 
 # ------------------------------------------------------- synthetic corpus

@@ -59,11 +59,6 @@ def _flatten_spatial(x: Tensor) -> Tensor:
     return x.reshape(b, c, h * w)
 
 
-def fuse_pairs(style: Tensor | None, content: Sequence[Tensor], deep: Sequence[Tensor],
-               head: FusionHead) -> list[Tensor]:
-    return head(style, content, deep)
-
-
 def pooled_scores(features: Tensor, lam: float) -> Tensor:
     """Softmax over labels of mean + lam * max along the trailing feature
     axis of [B, C, D]."""

@@ -60,10 +60,6 @@ class HighOrderAttention:
         return out
 
 
-def hoa_forward(x2: Tensor, module: HighOrderAttention) -> list[Tensor]:
-    return module(x2)
-
-
 def encode_orders(atts: Sequence[Tensor], f3: Callable[[Tensor], Tensor],
                   f4: Callable[[Tensor], Tensor]) -> tuple[list[Tensor], list[Tensor]]:
     """Apply stage f3 then f4 to every attended map; order index leads."""

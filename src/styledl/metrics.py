@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation, ValidationError
+from .errors import ContractViolation, FormatError, ValidationError
 
 METRIC_NAMES = ("kl", "chebyshev", "clark", "canberra", "cosine", "intersection")
 LOWER_IS_BETTER = {
@@ -60,6 +61,31 @@ class MetricReport:
         for m in METRIC_NAMES:
             lines.append(f"{m:<13}{self.mean[m]:.6f}")
         return "\n".join(lines)
+
+
+def load_report(path: str | Path) -> tuple[str, dict[str, float]]:
+    """Read a `MetricReport.to_json` file back as (name, metric means).
+
+    The name falls back to the file stem when the report carries none.
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a JSON report ({exc})") from None
+    metrics = doc.get("metrics") if isinstance(doc, dict) else None
+    if not isinstance(metrics, dict):
+        raise FormatError(f"{path}: expected an object with a 'metrics' object")
+    means = {}
+    for m, entry in metrics.items():
+        mean = entry.get("mean") if isinstance(entry, dict) else None
+        if not isinstance(mean, (int, float)):
+            raise FormatError(f"{path}: metric '{m}' has no numeric 'mean'")
+        means[m] = float(mean)
+    name = doc.get("name") or path.stem
+    if not isinstance(name, str):
+        raise FormatError(f"{path}: 'name' must be a string, got {name!r}")
+    return name, means
 
 
 def evaluate_metrics(targets, preds, normalize: bool = True) -> MetricReport:

@@ -199,7 +199,3 @@ class EmotionDistributionNet:
         if self.gcn:
             params.update(self.gcn.params("gcn"))
         return params
-
-
-def forward_full(model: EmotionDistributionNet, images: Tensor | np.ndarray) -> ForwardOutput:
-    return model.forward(images)

@@ -66,7 +66,3 @@ class InterLayerCorrelation:
         out = self.block1.params(f"{prefix}/cc1")
         out.update(self.block2.params(f"{prefix}/cc2"))
         return out
-
-
-def inter_layer_correlation(stack: Tensor, module: InterLayerCorrelation) -> Tensor:
-    return module(stack)

@@ -478,7 +478,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 
 # ------------------------------------------------------------- resampling
-def _nearest_index(src: int, dst: int) -> np.ndarray:
+def nearest_index(src: int, dst: int) -> np.ndarray:
+    """Source index floor(i * src / dst) for each of dst nearest-resampled cells."""
     return (np.arange(dst) * src) // dst
 
 
@@ -493,8 +494,8 @@ def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise ContractViolation(f"resample target {out_h}x{out_w}")
     h, w = x.data.shape[-2:]
-    rows = _nearest_index(h, out_h)
-    cols = _nearest_index(w, out_w)
+    rows = nearest_index(h, out_h)
+    cols = nearest_index(w, out_w)
     out = x.data[..., rows[:, None], cols[None, :]]
     lead_shape = x.data.shape[:-2]
     lead = int(np.prod(lead_shape)) if lead_shape else 1

@@ -48,8 +48,8 @@ class TrainConfig:
             raise ConfigurationError(f"unknown ablation '{self.ablation}'")
         if self.R < 1 or self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("R, batch_size and epochs must be positive")
-        if self.lr <= 0 or self.lr_decay < 1:
-            raise ConfigurationError("lr must be positive and lr_decay >= 1")
+        if not (0 < self.lr < math.inf and 1 <= self.lr_decay < math.inf):
+            raise ConfigurationError("lr must be positive and lr_decay >= 1, both finite")
 
     @staticmethod
     def overfit(**overrides) -> "TrainConfig":
@@ -64,6 +64,8 @@ class TrainConfig:
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# field annotations are strings under `from __future__ import annotations`
+_NUMBER_TYPES = {"int": int, "float": float}
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
@@ -80,11 +82,12 @@ def load_train_config(path: str | Path) -> TrainConfig:
         if key not in fields:
             raise ConfigurationError(f"config line {lineno}: unknown key '{key}'")
         kind = fields[key]
-        if kind in ("int", int):
-            values[key] = int(value)
-        elif kind in ("float", float):
-            values[key] = float(value)
-        elif kind in ("bool", bool):
+        if kind in _NUMBER_TYPES:
+            try:
+                values[key] = _NUMBER_TYPES[kind](value)
+            except ValueError:
+                raise FormatError(f"config line {lineno}: bad {kind} {value!r} for {key}") from None
+        elif kind == "bool":
             if value.lower() not in _BOOL_WORDS:
                 raise FormatError(f"config line {lineno}: bad boolean {value!r}")
             values[key] = _BOOL_WORDS[value.lower()]

@@ -2,14 +2,14 @@
 import numpy as np
 import pytest
 
-from styledl.backbone import Backbone, BackboneConfig, build_backbone, forward_taps
+from styledl.backbone import Backbone, BackboneConfig
 from styledl.errors import ConfigurationError, ContractViolation
 from styledl.tensor import Tensor
 
 
 def test_tap_shapes_halve_per_stage():
     cfg = BackboneConfig(input_size=64)
-    bb = build_backbone(cfg, seed=0)
+    bb = Backbone(cfg, np.random.default_rng(0))
     taps = bb.taps(Tensor(np.random.default_rng(0).random((2, 3, 64, 64))))
     assert taps.x0.shape == (2, 8, 32, 32)
     assert taps.x1.shape == (2, 16, 16, 16)
@@ -19,28 +19,28 @@ def test_tap_shapes_halve_per_stage():
 
 
 def test_tap_spatial_helper():
-    bb = build_backbone(BackboneConfig(input_size=64), seed=0)
+    bb = Backbone(BackboneConfig(input_size=64), np.random.default_rng(0))
     assert [bb.tap_spatial(k) for k in range(5)] == [32, 16, 8, 4, 2]
 
 
 def test_custom_width_config():
     cfg = BackboneConfig(stage_channels=(4, 4, 8, 8, 16), input_size=32)
-    bb = build_backbone(cfg, seed=1)
+    bb = Backbone(cfg, np.random.default_rng(1))
     taps = bb.taps(Tensor(np.zeros((1, 3, 32, 32))))
     assert taps.x2.shape == (1, 8, 4, 4)
 
 
 def test_rejects_bad_config():
     with pytest.raises(ConfigurationError):
-        build_backbone(BackboneConfig(input_size=48), seed=0)
+        Backbone(BackboneConfig(input_size=48), np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
-        build_backbone(BackboneConfig(stage_channels=(8, 16, 32)), seed=0)
+        Backbone(BackboneConfig(stage_channels=(8, 16, 32)), np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
-        build_backbone(BackboneConfig(stage_channels=(8, 4, 32, 64, 128)), seed=0)
+        Backbone(BackboneConfig(stage_channels=(8, 4, 32, 64, 128)), np.random.default_rng(0))
 
 
 def test_rejects_bad_input():
-    bb = build_backbone(BackboneConfig(input_size=64), seed=0)
+    bb = Backbone(BackboneConfig(input_size=64), np.random.default_rng(0))
     with pytest.raises(ContractViolation):
         bb.taps(Tensor(np.zeros((1, 3, 32, 32))))
     with pytest.raises(ContractViolation):
@@ -50,20 +50,15 @@ def test_rejects_bad_input():
 
 
 def test_same_seed_same_params():
-    a = build_backbone(BackboneConfig(), seed=5)
-    b = build_backbone(BackboneConfig(), seed=5)
+    a = Backbone(BackboneConfig(), np.random.default_rng(5))
+    b = Backbone(BackboneConfig(), np.random.default_rng(5))
     for key, t in a.params().items():
         np.testing.assert_array_equal(t.data, b.params()[key].data)
 
 
-def test_forward_taps_wrapper_matches_method():
-    bb = build_backbone(BackboneConfig(input_size=32, stage_channels=(2, 2, 4, 4, 8)), seed=2)
-    x = Tensor(np.random.default_rng(1).random((1, 3, 32, 32)))
-    np.testing.assert_array_equal(forward_taps(bb, x).x2.data, bb.taps(x).x2.data)
-
-
 def test_gradients_reach_first_conv():
-    bb = build_backbone(BackboneConfig(input_size=32, stage_channels=(2, 2, 4, 4, 8)), seed=3)
+    cfg = BackboneConfig(input_size=32, stage_channels=(2, 2, 4, 4, 8))
+    bb = Backbone(cfg, np.random.default_rng(3))
     taps = bb.taps(Tensor(np.random.default_rng(2).random((1, 3, 32, 32))))
     taps.f4(taps.f3(taps.x2)).sum().backward()
     first = bb.params()["backbone/stage0/down/w"]

@@ -79,6 +79,12 @@ def test_cli_reports_errors_not_tracebacks(workdir, capsys):
                  str(data / "manifest.txt"), "--out", str(root / "x.ckpt"),
                  "--ablation", "bogus"]) == 1
     assert "error:" in capsys.readouterr().err
+    bad_cfg = root / "bad.cfg"
+    bad_cfg.write_text("input_size=32\nepochs=abc\n")
+    assert main(["train", "--config", str(bad_cfg), "--manifest",
+                 str(data / "manifest.txt"), "--out", str(root / "x.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config line 2") and err.count("\n") == 1
     assert main(["evaluate", "--checkpoint", str(root / "missing.ckpt"),
                  "--manifest", str(data / "manifest.txt")]) == 1
 
@@ -94,3 +100,12 @@ def test_cli_reports_training_error(workdir, capsys, monkeypatch):
                  str(data / "manifest.txt"), "--out", str(root / "nan.ckpt")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: epoch 1: loss is not finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ['{"name": "x"}', "[1, 2]", '{"metrics": {"kl": {}}}', "{"])
+def test_rank_rejects_malformed_report(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["rank", "--reports", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and err.count("\n") == 1

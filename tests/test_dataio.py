@@ -3,13 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from styledl import tensor as T
 from styledl.dataio import (DatasetRecord, Manifest, cooccurrence_adjacency,
-                            flip_horizontal, load_images, load_manifest, load_ppm,
-                            resize_nearest, save_manifest, save_ppm, split_dataset,
-                            synth_generate)
+                            load_images, load_manifest, load_ppm, resize_nearest,
+                            save_manifest, save_ppm, split_dataset, synth_generate)
 from styledl.errors import ConfigurationError, FormatError, ValidationError
 
 
@@ -108,8 +108,19 @@ def test_resize_and_flip():
     up = resize_nearest(img, 4, 4)
     assert up.shape == (3, 4, 4)
     np.testing.assert_array_equal(up[:, ::2, ::2], img)
-    flipped = flip_horizontal(img)
-    np.testing.assert_array_equal(flipped[..., 0], img[..., -1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12),
+       out_h=st.integers(1, 12), out_w=st.integers(1, 12))
+@example(h=2, w=2, out_h=4, out_w=4)
+@example(h=8, w=8, out_h=3, out_w=3)
+@example(h=4, w=7, out_h=9, out_w=2)
+def test_resize_matches_tensor_resample(h, w, out_h, out_w):
+    # image loading and the model's resample share one nearest-index rule
+    img = np.random.default_rng(h * 100 + w).random((3, h, w))
+    np.testing.assert_array_equal(resize_nearest(img, out_h, out_w),
+                                  T.resample_nearest(T.Tensor(img), out_h, out_w).data)
 
 
 # ------------------------------------------------------------ synthetic

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import gradcheck
 from styledl.errors import ContractViolation
-from styledl.fusion import (FusionHead, fuse_pairs, pooled_distribution,
-                            pooled_scores, style_distribution)
+from styledl.fusion import FusionHead, pooled_distribution, pooled_scores, style_distribution
 from styledl.tensor import Tensor
 
 rng = np.random.default_rng(31)
@@ -45,16 +44,6 @@ def test_style_presence_must_match_build():
         head(None, content, deep)
     with pytest.raises(ContractViolation):
         head(Tensor(rng.random((1, 4, 8, 8))), content, deep + deep)
-
-
-def test_fuse_pairs_wrapper():
-    head = _head(seed=2)
-    style = Tensor(rng.random((1, 4, 8, 8)))
-    content = [Tensor(rng.random((1, 4, 4, 4)))]
-    deep = [Tensor(rng.random((1, 8, 2, 2)))]
-    a = head(style, content, deep)
-    b = fuse_pairs(style, content, deep, head)
-    np.testing.assert_array_equal(a[0].data, b[0].data)
 
 
 def test_pooled_scores_hand_value():

@@ -5,7 +5,7 @@ import pytest
 from conftest import gradcheck
 from styledl.errors import ContractViolation
 from styledl.hoa import (AdversaryHead, HighOrderAttention, adversary_loss,
-                         encode_orders, fpn_fuse, hoa_forward)
+                         encode_orders, fpn_fuse)
 from styledl.layers import Conv1x1, ConvBlock
 from styledl.tensor import Tensor
 

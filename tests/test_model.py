@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import styledl
 from styledl.errors import ConfigurationError, ContractViolation
 from styledl.model import ABLATION_PRESETS, AblationFlags, EmotionDistributionNet
 from styledl.tensor import Tensor
@@ -127,3 +128,8 @@ def test_ablation_flags_are_dataclass_presets():
     assert flags.style and flags.attention and flags.gcn_dynamic
     b = ABLATION_PRESETS["B"]
     assert not b.style and not b.attention and not b.gcn
+
+
+def test_public_names_resolve():
+    for name in styledl.__all__:
+        assert getattr(styledl, name, None) is not None, name

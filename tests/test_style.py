@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import gradcheck
 from styledl.errors import ConfigurationError, ContractViolation
-from styledl.style import InterLayerCorrelation, gram, inter_layer_correlation, stack_grams
+from styledl.style import InterLayerCorrelation, gram, stack_grams
 from styledl.tensor import Tensor
 
 rng = np.random.default_rng(11)
@@ -71,12 +71,6 @@ def test_correlation_encoder_validation():
         mod(Tensor(np.zeros((2, 3, 8))))
     with pytest.raises(ConfigurationError):
         mod(Tensor(np.zeros((1, 3, 6, 6))))
-
-
-def test_wrapper_matches_module():
-    mod = InterLayerCorrelation(np.random.default_rng(4))
-    x = Tensor(rng.random((1, 3, 8, 8)))
-    np.testing.assert_array_equal(inter_layer_correlation(x, mod).data, mod(x).data)
 
 
 def test_grad_gram_alone():

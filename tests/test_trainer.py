@@ -1,5 +1,6 @@
 """Config parsing, schedule, training loop behavior, checkpoint format."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -65,6 +66,9 @@ def test_config_rejects_bad_values(tmp_path):
     p.write_text("just a line\n")
     with pytest.raises(FormatError):
         load_train_config(p)
+    p.write_text("lr=0.5\nepochs=abc\n")
+    with pytest.raises(FormatError, match="config line 2"):
+        load_train_config(p)
 
 
 def test_config_validation():
@@ -76,6 +80,10 @@ def test_config_validation():
         TrainConfig(lr=-0.1)
     with pytest.raises(ConfigurationError):
         TrainConfig(lr_decay=0.5)
+    for bad in (dict(lr=math.nan), dict(lr=math.inf), dict(lr_decay=math.nan),
+                dict(lr_decay=math.inf)):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**bad)
 
 
 def test_overfit_preset():
