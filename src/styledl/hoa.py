@@ -62,12 +62,21 @@ class HighOrderAttention:
 
 def encode_orders(atts: Sequence[Tensor], f3: Callable[[Tensor], Tensor],
                   f4: Callable[[Tensor], Tensor]) -> tuple[list[Tensor], list[Tensor]]:
-    """Apply stage f3 then f4 to every attended map; order index leads."""
+    """Apply stage f3 then f4 to every attended map; order index leads.
+
+    The orders share one pass: their maps are stacked on the batch axis,
+    run through f3 and f4 once and cut back per order. Every stage op
+    (conv, per-sample layer norm, relu) treats samples independently, so
+    this is the per-order result, at one GEMM per conv for all orders.
+    """
     if not atts:
         raise ContractViolation("encode_orders needs at least one order")
-    x3 = [f3(a) for a in atts]
-    x4 = [f4(x) for x in x3]
-    return x3, x4
+    if len(atts) == 1:
+        x3 = f3(atts[0])
+        return [x3], [f4(x3)]
+    x3 = f3(T.concat(atts, axis=0))
+    x4 = f4(x3)
+    return T.split(x3, len(atts), 0), T.split(x4, len(atts), 0)
 
 
 def fpn_fuse(x3: Sequence[Tensor], x4: Sequence[Tensor], lateral: Conv1x1) -> list[Tensor]:

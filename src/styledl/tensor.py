@@ -380,23 +380,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ------------------------------------------------------------ convolution
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
     bsz, cin = xp.shape[:2]
-    cols = np.empty((bsz, cin, k, k, ho, wo), dtype=np.float64)
+    cols = np.empty((cin, k, k, bsz, ho, wo), dtype=np.float64)
+    xt = xp.transpose(1, 0, 2, 3)
     for ki in range(k):
         for kj in range(k):
-            cols[:, :, ki, kj] = xp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
-    return cols.reshape(bsz, cin * k * k, ho * wo)
+            cols[:, ki, kj] = xt[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
+    return cols.reshape(cin * k * k, bsz * ho * wo)
 
 
 def _col2im(gcols: np.ndarray, xshape, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
     bsz, cin, h, w = xshape
     gxp = np.zeros((bsz, cin, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    g6 = gcols.reshape(bsz, cin, k, k, ho, wo)
+    gxt = gxp.transpose(1, 0, 2, 3)
+    g6 = gcols.reshape(cin, k, k, bsz, ho, wo)
     for ki in range(k):
         for kj in range(k):
-            gxp[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += g6[:, :, ki, kj]
-    if pad:
-        return gxp[:, :, pad : pad + h, pad : pad + w]
-    return gxp
+            gxt[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += g6[:, ki, kj]
+    return gxp[:, :, pad : pad + h, pad : pad + w]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -405,6 +405,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     Output extent follows the floor convention
     H' = (H + 2*pad - k) // stride + 1, which is what lets a 3x3
     stride-2 kernel with pad 1 halve an even input exactly.
+
+    The input is unfolded (im2col) to one [Cin*k*k, B*H'*W'] matrix, so a
+    single GEMM with the [Cout, Cin*k*k] weight covers the whole batch in
+    the forward, and one each in the weight and input gradients
+    (Chellapilla et al., 2006). A 1x1 conv is then one transpose copy and
+    one GEMM.
     """
     x, w = _coerce(x), _coerce(w)
     if x.data.ndim != 4:
@@ -419,30 +425,29 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     cout, _, k, _ = w.data.shape
     if h + 2 * pad < k or wid + 2 * pad < k:
         raise ConfigurationError(f"kernel {k} exceeds padded input {h + 2 * pad}x{wid + 2 * pad}")
+    if b is not None and b.data.shape != (cout,):
+        raise ContractViolation(f"conv2d bias shape {b.shape}, expected ({cout},)")
     ho = (h + 2 * pad - k) // stride + 1
     wo = (wid + 2 * pad - k) // stride + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     cols = _im2col(xp, k, stride, ho, wo)
     wm = w.data.reshape(cout, cin * k * k)
-    out = np.matmul(wm, cols)
+    out = wm @ cols
     if b is not None:
-        if b.data.shape != (cout,):
-            raise ContractViolation(f"conv2d bias shape {b.shape}, expected ({cout},)")
-        out = out + b.data.reshape(1, cout, 1)
+        out += b.data[:, None]
     parents = (x, w) if b is None else (x, w, b)
 
     def grad_fn(g):
-        g3 = g.reshape(bsz, cout, ho * wo)
+        g2 = g.transpose(1, 0, 2, 3).reshape(cout, bsz * ho * wo)
         if w.requires_grad:
-            gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(w, gw.reshape(w.data.shape))
+            _accumulate(w, (g2 @ cols.T).reshape(w.data.shape))
         if b is not None and b.requires_grad:
-            _accumulate(b, g3.sum(axis=(0, 2)))
+            _accumulate(b, g2.sum(axis=1))
         if x.requires_grad:
-            gcols = np.matmul(wm.T, g3)
-            _accumulate(x, _col2im(gcols, x.data.shape, k, stride, pad, ho, wo))
+            _accumulate(x, _col2im(wm.T @ g2, x.data.shape, k, stride, pad, ho, wo))
 
-    return _result(out.reshape(bsz, cout, ho, wo), parents, grad_fn)
+    out = np.ascontiguousarray(out.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3))
+    return _result(out, parents, grad_fn)
 
 
 # ------------------------------------------------------------- layer norm
@@ -547,6 +552,28 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _result(out, tuple(parts), grad_fn)
 
 
+def split(x: Tensor, parts: int, axis: int) -> list[Tensor]:
+    """Cut an axis into `parts` equal pieces, the adjoint of ``concat``."""
+    axis = x._check_axis(axis, "split")
+    n = x.data.shape[axis]
+    if parts < 1 or n % parts:
+        raise ContractViolation(f"split: extent {n} on axis {axis} into {parts} equal parts")
+    step = n // parts
+    pieces = []
+    for lo in range(0, n, step):
+        sl = [slice(None)] * x.data.ndim
+        sl[axis] = slice(lo, lo + step)
+        sl = tuple(sl)
+
+        def grad_fn(g, sl=sl):
+            gx = np.zeros_like(x.data)
+            gx[sl] = g
+            _accumulate(x, gx)
+
+        pieces.append(_result(x.data[sl], (x,), grad_fn))
+    return pieces
+
+
 def repeat_axis(x: Tensor, axis: int, times: int) -> Tensor:
     """Tile a length-1 axis `times` times; gradient sums back over it."""
     axis = x._check_axis(axis, "repeat_axis")
@@ -596,8 +623,8 @@ class SGD:
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.0,
                  weight_decay: float = 0.0):
-        if lr < 0 or weight_decay < 0:
-            raise ConfigurationError("negative optimizer hyperparameter")
+        if not (0 <= lr < np.inf and 0 <= weight_decay < np.inf):
+            raise ConfigurationError(f"lr {lr} and weight_decay {weight_decay} must be finite and >= 0")
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum {momentum} outside [0, 1)")
         self.params = dict(params)

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigurationError("R, batch_size and epochs must be positive")
         if not (0 < self.lr < math.inf and 1 <= self.lr_decay < math.inf):
             raise ConfigurationError("lr must be positive and lr_decay >= 1, both finite")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigurationError(f"weight_decay {self.weight_decay} must be finite and >= 0")
 
     @staticmethod
     def overfit(**overrides) -> "TrainConfig":

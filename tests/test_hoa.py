@@ -70,6 +70,19 @@ def test_encode_orders_runs_stages_in_sequence():
         encode_orders([], f3, f4)
 
 
+@pytest.mark.parametrize("orders", [2, 3])
+def test_encode_orders_stacked_matches_per_order(orders):
+    att_maps = [Tensor(rng.standard_normal((2, 2, 8, 8))) for _ in range(orders)]
+    f3 = ConvBlock(np.random.default_rng(1), 2, 4, stride=2)
+    f4 = ConvBlock(np.random.default_rng(2), 4, 8, stride=2)
+    x3, x4 = encode_orders(att_maps, f3, f4)
+    assert len(x3) == len(x4) == orders
+    for a, s3, s4 in zip(att_maps, x3, x4):
+        alone = f3(a)
+        np.testing.assert_allclose(s3.data, alone.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(s4.data, f4(alone).data, rtol=1e-12, atol=1e-12)
+
+
 def test_fpn_shapes_and_mismatch():
     lateral = Conv1x1(np.random.default_rng(3), 8, 4)
     x3 = [Tensor(rng.random((1, 4, 4, 4)))]

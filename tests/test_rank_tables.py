@@ -1,5 +1,4 @@
 """Reproduce the published ranking tables from their printed scores."""
-import numpy as np
 import pytest
 
 from styledl.metrics import average_rank, competition_rank, rank_table

@@ -106,6 +106,66 @@ def test_grad_conv2d():
               rng.standard_normal((1, 2, 6, 6)), rng.standard_normal((3, 2, 3, 3)))
     gradcheck(lambda a, c: T.conv2d(a, c, stride=1, pad=0),
               rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 1, 1)))
+    # batches > 1 mix samples in one im2col matrix; each must get its own gradient
+    for bsz in (2, 3):
+        gradcheck(lambda a, c, d: T.conv2d(a, c, d, stride=2, pad=1),
+                  rng.standard_normal((bsz, 2, 6, 6)), rng.standard_normal((3, 2, 3, 3)),
+                  rng.standard_normal(3))
+        gradcheck(lambda a, c, d: T.conv2d(a, c, d),
+                  rng.standard_normal((bsz, 3, 3, 3)), rng.standard_normal((2, 3, 1, 1)),
+                  rng.standard_normal(2))
+        gradcheck(lambda a, c: T.conv2d(a, c, stride=2, pad=1),
+                  rng.standard_normal((bsz, 2, 5, 7)), rng.standard_normal((2, 2, 3, 3)))
+
+
+def _conv_reference(x, w, b, stride, pad, proj):
+    """Forward and the three gradients of sum(conv(x) * proj), by direct loops."""
+    bsz, cin, h, wid = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (wid + 2 * pad - k) // stride + 1
+    out = np.zeros((bsz, cout, ho, wo))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for n in range(bsz):
+        for o in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    patch = xp[n, :, i * stride:i * stride + k, j * stride:j * stride + k]
+                    out[n, o, i, j] = (patch * w[o]).sum() + b[o]
+                    gw[o] += proj[n, o, i, j] * patch
+                    gxp[n, :, i * stride:i * stride + k, j * stride:j * stride + k] += (
+                        proj[n, o, i, j] * w[o])
+    return out, gxp[:, :, pad:pad + h, pad:pad + wid], gw, proj.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv2d_matches_loop_reference(bsz, k, stride, pad):
+    r = np.random.default_rng(100 * bsz + 10 * k + 2 * stride + pad)
+    x = Tensor(r.standard_normal((bsz, 3, 5, 6)), requires_grad=True)
+    w = Tensor(r.standard_normal((4, 3, k, k)), requires_grad=True)
+    b = Tensor(r.standard_normal(4), requires_grad=True)
+    out = T.conv2d(x, w, b, stride=stride, pad=pad)
+    proj = r.standard_normal(out.shape)
+    (out * Tensor(proj)).sum().backward()
+    ref_out, ref_gx, ref_gw, ref_gb = _conv_reference(x.data, w.data, b.data, stride, pad, proj)
+    for got, want in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw), (b.grad, ref_gb)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_batch_rows_match_batch_one():
+    r = np.random.default_rng(8)
+    x = r.standard_normal((5, 4, 7, 7))
+    w = Tensor(r.standard_normal((6, 4, 3, 3)))
+    b = Tensor(r.standard_normal(6))
+    for stride, pad in ((1, 1), (2, 1), (2, 0)):
+        batch = T.conv2d(Tensor(x), w, b, stride=stride, pad=pad).data
+        for n in range(len(x)):
+            one = T.conv2d(Tensor(x[n:n + 1]), w, b, stride=stride, pad=pad).data
+            np.testing.assert_allclose(batch[n:n + 1], one, rtol=1e-12, atol=1e-12)
 
 
 def test_grad_layer_norm():
@@ -127,6 +187,23 @@ def test_grad_concat_repeat():
     gradcheck(lambda a, b: T.concat([a, b], axis=0),
               rng.standard_normal((1, 2, 2, 2)), rng.standard_normal((3, 2, 2, 2)))
     gradcheck(lambda a: T.repeat_axis(a, 1, 4), rng.standard_normal((2, 1, 3)))
+
+
+def test_grad_split():
+    # each piece is weighted differently so a misplaced slice would show
+    gradcheck(lambda a: T.concat([p * float(i + 1) for i, p in enumerate(T.split(a, 3, 0))], 0),
+              rng.standard_normal((6, 2, 2)))
+    gradcheck(lambda a: T.split(a, 2, -1)[1], rng.standard_normal((2, 3, 4)))
+
+
+def test_split_is_adjoint_of_concat_and_rejects_uneven_cut():
+    x = Tensor(rng.standard_normal((4, 3, 2)))
+    pieces = T.split(x, 2, 0)
+    assert [p.shape for p in pieces] == [(2, 3, 2)] * 2
+    np.testing.assert_array_equal(T.concat(pieces, 0).data, x.data)
+    for parts, axis in ((3, 0), (2, 1), (0, 0), (2, 3)):
+        with pytest.raises(ContractViolation):
+            T.split(x, parts, axis)
 
 
 def test_grad_reverse_flips_sign():
@@ -248,7 +325,7 @@ def _every_op(x, w, b, gamma):
         T.concat([img, img], axis=1), T.repeat_axis(img.sum(axis=1).reshape(2, 1, 4, 4), 1, 3),
         img.flatten(), img.sum(), img.mean(axis=0), img.max(axis=1), img.relu(),
         img.leaky_relu(), img.sigmoid(), img.softmax(axis=1), img.clamp_min(0.0),
-        img.clamp_min(0.1).log(),
+        img.clamp_min(0.1).log(), *T.split(img, 2, 0),
     ]
 
 
@@ -326,6 +403,10 @@ def test_sgd_validates_hyperparams():
         SGD({"p": p}, lr=-1.0)
     with pytest.raises(ConfigurationError):
         SGD({"p": p}, lr=0.1, momentum=1.5)
+    for bad in (dict(lr=np.nan), dict(lr=np.inf), dict(lr=0.1, weight_decay=np.nan),
+                dict(lr=0.1, weight_decay=np.inf), dict(lr=0.1, weight_decay=-1e-4)):
+        with pytest.raises(ConfigurationError):
+            SGD({"p": p}, **bad)
 
 
 def test_sgd_zero_grad_clears():

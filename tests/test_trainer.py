@@ -7,7 +7,7 @@ import pytest
 
 import styledl.training as train_mod
 from styledl.cli import main
-from styledl.dataio import load_manifest, synth_generate
+from styledl.dataio import synth_generate
 from styledl.errors import ConfigurationError, FormatError, TrainingError
 from styledl.losses import pred_loss
 from styledl.model import ABLATION_PRESETS
@@ -81,7 +81,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         TrainConfig(lr_decay=0.5)
     for bad in (dict(lr=math.nan), dict(lr=math.inf), dict(lr_decay=math.nan),
-                dict(lr_decay=math.inf)):
+                dict(lr_decay=math.inf), dict(weight_decay=math.nan),
+                dict(weight_decay=math.inf), dict(weight_decay=-1e-4)):
         with pytest.raises(ConfigurationError):
             TrainConfig(**bad)
 
