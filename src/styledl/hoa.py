@@ -71,9 +71,6 @@ def encode_orders(atts: Sequence[Tensor], f3: Callable[[Tensor], Tensor],
     """
     if not atts:
         raise ContractViolation("encode_orders needs at least one order")
-    if len(atts) == 1:
-        x3 = f3(atts[0])
-        return [x3], [f4(x3)]
     x3 = f3(T.concat(atts, axis=0))
     x4 = f4(x3)
     return T.split(x3, len(atts), 0), T.split(x4, len(atts), 0)

@@ -566,9 +566,11 @@ def split(x: Tensor, parts: int, axis: int) -> list[Tensor]:
         sl = tuple(sl)
 
         def grad_fn(g, sl=sl):
-            gx = np.zeros_like(x.data)
-            gx[sl] = g
-            _accumulate(x, gx)
+            # every piece adds into one buffer; _accumulate only ever
+            # leaves an array owned by x in x.grad, so writing into it is safe
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[sl] += g
 
         pieces.append(_result(x.data[sl], (x,), grad_fn))
     return pieces

@@ -70,7 +70,7 @@ def test_encode_orders_runs_stages_in_sequence():
         encode_orders([], f3, f4)
 
 
-@pytest.mark.parametrize("orders", [2, 3])
+@pytest.mark.parametrize("orders", [1, 2, 3])
 def test_encode_orders_stacked_matches_per_order(orders):
     att_maps = [Tensor(rng.standard_normal((2, 2, 8, 8))) for _ in range(orders)]
     f3 = ConvBlock(np.random.default_rng(1), 2, 4, stride=2)

@@ -194,6 +194,15 @@ def test_grad_split():
     gradcheck(lambda a: T.concat([p * float(i + 1) for i, p in enumerate(T.split(a, 3, 0))], 0),
               rng.standard_normal((6, 2, 2)))
     gradcheck(lambda a: T.split(a, 2, -1)[1], rng.standard_normal((2, 3, 4)))
+    # the input also feeds another op, before and after the pieces on the tape
+    gradcheck(lambda a: (a * a) + T.concat(T.split(a, 2, 0)[::-1], 0),
+              rng.standard_normal((4, 3)))
+
+    def split_and_reuse(a):
+        b = a * 2.0
+        return T.concat(T.split(b, 2, 1), 1) * b.relu() + a
+
+    gradcheck(split_and_reuse, rng.standard_normal((2, 4)))
 
 
 def test_split_is_adjoint_of_concat_and_rejects_uneven_cut():
