@@ -1,8 +1,10 @@
-"""Fusing style with the per-order content encodings into label-channel
-features and pooling those into per-order distributions."""
-from __future__ import annotations
+"""Fusing style with the stacked content encodings into label-channel
+features and pooling those into per-order distributions.
 
-from typing import Sequence
+Content arrives as R order blocks stacked on the batch axis, [R*B, ...]
+with row block r being order r (see ``hoa.encode_orders``); every result
+here keeps that layout."""
+from __future__ import annotations
 
 import numpy as np
 
@@ -28,25 +30,22 @@ class FusionHead:
         self.conv_sc = Conv1x1(rng, sc_in, n_labels)
         self.conv_s4 = Conv1x1(rng, s4_in, n_labels)
 
-    def __call__(self, style: Tensor | None, content: Sequence[Tensor],
-                 deep: Sequence[Tensor]) -> list[Tensor]:
-        """Per order, a [B, C, D_e] slice with D_e = h3*w3 + h4*w4."""
-        if len(content) != len(deep):
-            raise ContractViolation(f"order counts differ: {len(content)} vs {len(deep)}")
+    def __call__(self, style: Tensor | None, content: Tensor, deep: Tensor) -> Tensor:
+        """Fused features [R*B, C, D_e] with D_e = h3*w3 + h4*w4, from
+        stacked content [R*B, c3, h3, w3] and deep [R*B, c4, h4, w4] and
+        the [B, ...] style map, which every order block shares."""
         if (style is None) != (self.style_channels is None):
             raise ContractViolation("style presence does not match this head's build")
-        slices = []
-        for shallow_r, deep_r in zip(content, deep):
-            f_sc = self._fuse(self.conv_sc, style, shallow_r)
-            f_s4 = self._fuse(self.conv_s4, style, deep_r)
-            slices.append(T.concat([_flatten_spatial(f_sc), _flatten_spatial(f_s4)], axis=2))
-        return slices
+        f_sc = self._fuse(self.conv_sc, style, content)
+        f_s4 = self._fuse(self.conv_s4, style, deep)
+        return T.concat([_flatten_spatial(f_sc), _flatten_spatial(f_s4)], axis=2)
 
     def _fuse(self, conv: Conv1x1, style: Tensor | None, partner: Tensor) -> Tensor:
         if style is None:
             return conv(partner)
         aligned = T.resample_nearest(style, partner.shape[2], partner.shape[3])
-        return conv(T.concat([aligned, partner], axis=1))
+        tiled = T.concat([aligned] * (partner.shape[0] // style.shape[0]), axis=0)
+        return conv(T.concat([tiled, partner], axis=1))
 
     def params(self, prefix: str = "fusion") -> dict[str, Tensor]:
         out = self.conv_sc.params(f"{prefix}/conv_sc")
@@ -70,16 +69,15 @@ def pooled_scores(features: Tensor, lam: float) -> Tensor:
     return logits.softmax(axis=1)
 
 
-def pooled_distribution(fe_slices: Sequence[Tensor], lam: float) -> list[Tensor]:
-    """One distribution per order from its fused feature slice."""
-    return [pooled_scores(fe, lam) for fe in fe_slices]
+def pooled_distribution(features: Tensor, lam: float) -> Tensor:
+    """One distribution per row of the stacked fused features: [R*B, C]."""
+    return pooled_scores(features, lam)
 
 
-def style_distribution(y_e: Sequence[Tensor]) -> Tensor:
-    """Arithmetic mean of the per-order distributions."""
-    if not y_e:
-        raise ContractViolation("style_distribution over zero orders")
-    total = y_e[0]
-    for y in y_e[1:]:
-        total = total + y
-    return total * (1.0 / len(y_e))
+def style_distribution(y_e: Tensor, orders: int) -> Tensor:
+    """Arithmetic mean of the per-order distributions, the `orders` row
+    blocks of y_e: [R*B, C] -> [B, C]."""
+    rows, labels = y_e.shape
+    if orders < 1 or rows % orders:
+        raise ContractViolation(f"{rows} rows do not split into {orders} orders")
+    return y_e.reshape(orders, rows // orders, labels).sum(axis=0) * (1.0 / orders)

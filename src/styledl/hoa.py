@@ -3,7 +3,9 @@ pyramid fusion, and the order-diversity adversary.
 
 Order r forms an r-way elementwise product of pointwise projections of X2
 and maps it back through r pointwise convs whose sum is the attended map.
-Each order is then encoded by the two remaining backbone stages. The
+The R maps are then stacked order-major on the batch axis and encoded
+together by the two remaining backbone stages; every later module takes
+them in that [R*B, ...] layout, row block r being order r. The
 adversary pushes the per-order encodings apart: a gradient-reversed MLP
 head tries to make order projections agree, so minimizing its loss w.r.t.
 the head while the reversed gradient maximizes separation upstream.
@@ -61,31 +63,26 @@ class HighOrderAttention:
 
 
 def encode_orders(atts: Sequence[Tensor], f3: Callable[[Tensor], Tensor],
-                  f4: Callable[[Tensor], Tensor]) -> tuple[list[Tensor], list[Tensor]]:
-    """Apply stage f3 then f4 to every attended map; order index leads.
+                  f4: Callable[[Tensor], Tensor]) -> tuple[Tensor, Tensor]:
+    """Apply stage f3 then f4 to every attended map in one pass.
 
-    The orders share one pass: their maps are stacked on the batch axis,
-    run through f3 and f4 once and cut back per order. Every stage op
-    (conv, per-sample layer norm, relu) treats samples independently, so
-    this is the per-order result, at one GEMM per conv for all orders.
+    The R maps of [B, ...] are stacked order-major on the batch axis, so
+    row block r (rows r*B to (r+1)*B) of both [R*B, ...] results is order
+    r. Every stage op (conv, per-sample layer norm, relu) treats samples
+    independently, so a block is that order's own encoding, at one GEMM
+    per conv for all orders.
     """
     if not atts:
         raise ContractViolation("encode_orders needs at least one order")
     x3 = f3(T.concat(atts, axis=0))
-    x4 = f4(x3)
-    return T.split(x3, len(atts), 0), T.split(x4, len(atts), 0)
+    return x3, f4(x3)
 
 
-def fpn_fuse(x3: Sequence[Tensor], x4: Sequence[Tensor], lateral: Conv1x1) -> list[Tensor]:
-    """Per order: upsample the deep map, project to c3 channels, add the
-    shallow map. Multi-scale content at the shallow resolution."""
-    if len(x3) != len(x4):
-        raise ContractViolation(f"order counts differ: {len(x3)} vs {len(x4)}")
-    fused = []
-    for shallow, deep in zip(x3, x4):
-        up = T.upsample_nearest(deep, shallow.shape[2], shallow.shape[3])
-        fused.append(lateral(up) + shallow)
-    return fused
+def fpn_fuse(x3: Tensor, x4: Tensor, lateral: Conv1x1) -> Tensor:
+    """Upsample the deep map, project to c3 channels, add the shallow map:
+    multi-scale content at the shallow resolution, row for row."""
+    up = T.upsample_nearest(x4, x3.shape[2], x3.shape[3])
+    return lateral(up) + x3
 
 
 class AdversaryHead:
@@ -104,38 +101,27 @@ class AdversaryHead:
         return out
 
 
-def _stage_separation(slices: Sequence[Tensor], head: Callable[[Tensor], Tensor]) -> Tensor | None:
+def _stage_separation(x: Tensor, head: Callable[[Tensor], Tensor], orders: int) -> Tensor:
     """Sum of squared projection distances over ordered order pairs,
-    averaged over the batch. None when there are no pairs."""
-    if len(slices) < 2:
-        return None
-    batch = slices[0].shape[0]
-    projections = []
-    for s in slices:
-        flat = s.reshape(batch, -1)
-        projections.append(head(T.grad_reverse(flat)))
-    total: Tensor | None = None
-    for i in range(len(projections)):
-        for j in range(len(projections)):
-            if i == j:
-                continue
-            diff = projections[i] - projections[j]
-            term = (diff * diff).sum() / batch
-            total = term if total is None else total + term
-    return total
+    averaged over the batch. Row block r of x is order r; the head runs
+    once over all rows."""
+    batch, rem = divmod(x.shape[0], orders)
+    if rem:
+        raise ContractViolation(f"{x.shape[0]} rows do not split into {orders} orders")
+    proj = head(T.grad_reverse(x.reshape(x.shape[0], -1))).reshape(orders, 1, -1)
+    # diff[i, j] = projection block i - block j; the diagonal is zero
+    diff = (T.repeat_axis(proj, 1, orders)
+            - T.repeat_axis(proj.reshape(1, orders, -1), 0, orders))
+    return (diff * diff).sum() / batch
 
 
-def adversary_loss(x3: Sequence[Tensor], x4: Sequence[Tensor],
-                   head3: AdversaryHead, head4: AdversaryHead) -> Tensor:
-    """Order-diversity loss summed over both encoded stages.
+def adversary_loss(x3: Tensor, x4: Tensor, head3: AdversaryHead, head4: AdversaryHead,
+                   orders: int) -> Tensor:
+    """Order-diversity loss summed over both encoded stages, each stacked
+    as `orders` row blocks of [R*B, ...].
 
     Exactly zero (constant, no graph) when only one order exists.
     """
-    parts = [p for p in (_stage_separation(x3, head3), _stage_separation(x4, head4))
-             if p is not None]
-    if not parts:
+    if orders < 2:
         return Tensor(0.0)
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
+    return _stage_separation(x3, head3, orders) + _stage_separation(x4, head4, orders)

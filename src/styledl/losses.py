@@ -2,8 +2,6 @@
 the adaptive adversarial balance, and the final convex combine."""
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
@@ -43,19 +41,18 @@ def kl_loss(target: np.ndarray | Tensor, pred: Tensor, eps: float = KL_EPS) -> T
     return (float(ent) - cross) * (1.0 / rows)
 
 
-def pred_loss(y_e: Sequence[Tensor], y_emotion: Tensor | None,
+def pred_loss(y_e: Tensor, y_emotion: Tensor | None,
               target: np.ndarray | Tensor) -> Tensor:
-    """Batch-mean KL over the per-order heads (averaged) plus the
-    graph-enhanced head when present."""
-    if not y_e:
-        raise ContractViolation("pred_loss needs at least one order distribution")
-    orders = len(y_e)
-    total = kl_loss(target, y_e[0])
-    for y in y_e[1:]:
-        total = total + kl_loss(target, y)
-    total = total * (1.0 / orders)
+    """Batch-mean KL of the stacked per-order heads y_e [R*B, C] against
+    the [B, C] targets tiled once per order block (the mean over orders
+    of each order's KL), plus the graph-enhanced head's KL when present."""
+    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
+    orders = y_e.shape[0] // len(t) if t.ndim == 2 and len(t) else 0
+    if orders < 1 or orders * len(t) != y_e.shape[0]:
+        raise ContractViolation(f"pred_loss: {y_e.shape[0]} stacked rows for targets {t.shape}")
+    total = kl_loss(np.tile(t, (orders, 1)), y_e)
     if y_emotion is not None:
-        total = total + kl_loss(target, y_emotion)
+        total = total + kl_loss(t, y_emotion)
     return total
 
 

@@ -51,22 +51,26 @@ STYLE_WIDTHS = (16, 32)
 
 @dataclass
 class ForwardOutput:
-    """Everything a training step needs from one forward pass."""
+    """Everything a training step needs from one forward pass.
+
+    y, y_style and y_emotion are [B, C]. The per-order tensors stay
+    stacked order-major on the batch axis: y_e is [R*B, C] and x3/x4 are
+    the [R*B, ...] stage encodings, row block r being order r.
+    """
 
     y: Tensor
     y_style: Tensor
     y_emotion: Tensor | None
-    y_e: list[Tensor]
-    x3: list[Tensor]
-    x4: list[Tensor]
+    y_e: Tensor
+    x3: Tensor
+    x4: Tensor
 
 
 class EmotionDistributionNet:
     """The trainable network, specialized at build time by its preset."""
 
     def __init__(self, n_labels: int, orders: int = 2, lam: float = 0.8, mu: float = 0.6,
-                 input_size: int = 64, stage_channels: tuple[int, ...] = (8, 16, 32, 64, 128),
-                 gcn_hidden: int = 128, ablation: str = "full", gram_normalize: bool = False,
+                 input_size: int = 64, ablation: str = "full", gram_normalize: bool = False,
                  seed: int = 0):
         if ablation not in ABLATION_PRESETS:
             raise ConfigurationError(f"unknown ablation '{ablation}', "
@@ -89,7 +93,7 @@ class EmotionDistributionNet:
         self.seed = seed
         rng = np.random.default_rng(seed)
 
-        cfg = BackboneConfig(stage_channels=tuple(stage_channels), input_size=input_size)
+        cfg = BackboneConfig(input_size=input_size)
         self.backbone = Backbone(cfg, rng)
         c0, c1, c2, c3, c4 = cfg.stage_channels
         w3 = self.backbone.tap_spatial(3)
@@ -125,8 +129,7 @@ class EmotionDistributionNet:
         self.gcn: StylisticGcn | None = None
         if flags.gcn:
             gcn_in = self.effective_orders * self.feature_width
-            self.gcn = StylisticGcn(rng, n_labels, gcn_in, hidden=gcn_hidden,
-                                    dynamic=flags.gcn_dynamic)
+            self.gcn = StylisticGcn(rng, n_labels, gcn_in, dynamic=flags.gcn_dynamic)
         self.static_adjacency = np.eye(n_labels)
 
         self.adv_head3: AdversaryHead | None = None
@@ -162,14 +165,18 @@ class EmotionDistributionNet:
                 stacked = T.concat(lifted, axis=1)
             style = self.style_module(stacked)
 
-        fe_slices = self.fusion(style, content, x4)
-        y_e = pooled_distribution(fe_slices, self.lam)
-        y_style = style_distribution(y_e)
+        orders = self.effective_orders
+        fe = self.fusion(style, content, x4)
+        y_e = pooled_distribution(fe, self.lam)
+        y_style = style_distribution(y_e, orders)
 
         y_emotion = None
         if self.gcn:
-            fe_joined = fe_slices[0] if len(fe_slices) == 1 else T.concat(fe_slices, axis=2)
-            enhanced = self.gcn(self.static_adjacency, fe_joined)
+            # [R*B, C, D_e] -> [B, C, R*D_e]: order r fills columns r*D_e to (r+1)*D_e
+            batch, labels, width = x.shape[0], fe.shape[1], fe.shape[2]
+            joined = (fe.reshape(orders, batch, labels, width).transpose(1, 2, 0, 3)
+                      .reshape(batch, labels, orders * width))
+            enhanced = self.gcn(self.static_adjacency, joined)
             y_emotion = emotion_distribution(enhanced, self.lam)
             y = combine_final(y_emotion, y_style, self.mu)
         else:
@@ -181,7 +188,7 @@ class EmotionDistributionNet:
         the preset or order count leaves nothing to separate."""
         if self.adv_head3 is None or self.adv_head4 is None:
             return Tensor(0.0)
-        return adversary_loss(out.x3, out.x4, self.adv_head3, self.adv_head4)
+        return adversary_loss(out.x3, out.x4, self.adv_head3, self.adv_head4, self.effective_orders)
 
     # --------------------------------------------------------- parameters
     def parameters(self) -> dict[str, Tensor]:

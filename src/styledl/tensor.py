@@ -552,30 +552,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _result(out, tuple(parts), grad_fn)
 
 
-def split(x: Tensor, parts: int, axis: int) -> list[Tensor]:
-    """Cut an axis into `parts` equal pieces, the adjoint of ``concat``."""
-    axis = x._check_axis(axis, "split")
-    n = x.data.shape[axis]
-    if parts < 1 or n % parts:
-        raise ContractViolation(f"split: extent {n} on axis {axis} into {parts} equal parts")
-    step = n // parts
-    pieces = []
-    for lo in range(0, n, step):
-        sl = [slice(None)] * x.data.ndim
-        sl[axis] = slice(lo, lo + step)
-        sl = tuple(sl)
-
-        def grad_fn(g, sl=sl):
-            # every piece adds into one buffer; _accumulate only ever
-            # leaves an array owned by x in x.grad, so writing into it is safe
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[sl] += g
-
-        pieces.append(_result(x.data[sl], (x,), grad_fn))
-    return pieces
-
-
 def repeat_axis(x: Tensor, axis: int, times: int) -> Tensor:
     """Tile a length-1 axis `times` times; gradient sums back over it."""
     axis = x._check_axis(axis, "repeat_axis")

@@ -24,6 +24,11 @@ from .model import ABLATION_PRESETS, EmotionDistributionNet
 from .tensor import SGD, Tensor, no_grad
 
 CHECKPOINT_MAGIC = b"SEDL1"
+# A checkpoint stores its ablation preset as an index into this tuple.
+# Append new presets at the end and never reorder, or old files load as
+# a different model.
+PRESET_CODES = ("B", "B+E", "B+G", "B+G+V", "B+V", "full", "inter_only", "noAN",
+                "static_gcn_only")
 
 
 @dataclass
@@ -135,7 +140,7 @@ class Checkpoint:
         for field in dataclasses.fields(TrainConfig):
             value = getattr(self.config, field.name)
             if field.name == "ablation":
-                value = sorted(ABLATION_PRESETS).index(value)
+                value = PRESET_CODES.index(value)
             entries.append((f"config/{field.name}", np.array(float(value))))
         entries.append(("meta/epoch", np.array(float(self.epoch))))
         entries.append(("meta/n_labels", np.array(float(self.n_labels))))
@@ -188,12 +193,12 @@ class Checkpoint:
             key = f"config/{field.name}"
             if field.name == "ablation":
                 index = integer(key)
-                if not 0 <= index < len(ABLATION_PRESETS):
+                if not 0 <= index < len(PRESET_CODES):
                     raise FormatError(f"{path}: entry {key!r} holds unknown preset index {index}")
-                cfg_values[field.name] = sorted(ABLATION_PRESETS)[index]
-            elif field.type in ("int", int):
+                cfg_values[field.name] = PRESET_CODES[index]
+            elif field.type == "int":
                 cfg_values[field.name] = integer(key)
-            elif field.type in ("bool", bool):
+            elif field.type == "bool":
                 cfg_values[field.name] = bool(integer(key))
             else:
                 cfg_values[field.name] = scalar(key)
@@ -327,9 +332,7 @@ def train(cfg: TrainConfig, manifest: Manifest, root: str | Path,
             batch = images[idx]
             if cfg.flip:
                 flip_mask = data_rng.random(len(idx)) < 0.5
-                if flip_mask.any():
-                    batch = batch.copy()
-                    batch[flip_mask] = batch[flip_mask][..., ::-1]
+                batch[flip_mask] = batch[flip_mask][..., ::-1]
             try:
                 out = model.forward(Tensor(batch))
                 l_pred = pred_loss(out.y_e, out.y_emotion, targets[idx])
@@ -370,8 +373,7 @@ def predict_batch(model: EmotionDistributionNet, images: np.ndarray,
     return np.concatenate(outputs) if outputs else np.zeros((0, model.n_labels))
 
 
-def evaluate(checkpoint: Checkpoint, manifest: Manifest, root: str | Path,
-             normalize: bool = True) -> MetricReport:
+def evaluate(checkpoint: Checkpoint, manifest: Manifest, root: str | Path) -> MetricReport:
     """Metric report of the checkpointed model over a manifest."""
     if manifest.n_labels != checkpoint.n_labels:
         raise ConfigurationError(
@@ -379,5 +381,5 @@ def evaluate(checkpoint: Checkpoint, manifest: Manifest, root: str | Path,
     model = checkpoint.build_model()
     images = load_images(manifest, root, checkpoint.config.input_size)
     preds = predict_batch(model, images)
-    return evaluate_metrics(manifest.distributions(), preds, normalize=normalize)
+    return evaluate_metrics(manifest.distributions(), preds)
 

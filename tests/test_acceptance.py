@@ -127,11 +127,7 @@ def test_c02_gradient_integrity():
 
     def hoa_path(x):
         x3, x4 = encode_orders(att(x), f3, f4)
-        fused = fpn_fuse(x3, x4, lateral)
-        total = fused[0]
-        for f in fused[1:]:
-            total = total + f
-        return total
+        return fpn_fuse(x3, x4, lateral)
 
     gradcheck(hoa_path, r.standard_normal((1, 2, 4, 4)))
 
@@ -156,7 +152,7 @@ def test_c03_simplex_invariants():
         for _ in range(50):
             out = model.forward(r.random((1, 3, 32, 32)))
             forwards += 1
-            heads = list(out.y_e) + [out.y_style, out.y]
+            heads = [out.y_e, out.y_style, out.y]
             if out.y_emotion is not None:
                 heads.append(out.y_emotion)
             for head in heads:
@@ -181,28 +177,26 @@ def test_c04_gram_properties():
 
 # ----------------------------------------------------------- criterion 5
 class _ScriptedHead:
-    """Emits fixed projections in call order, ignoring the input values."""
+    """Emits fixed projections, one per order row block of the stacked
+    input, ignoring the input values."""
 
     def __init__(self, outputs):
-        self.outputs = [np.asarray(o, dtype=np.float64) for o in outputs]
-        self.calls = 0
+        self.outputs = np.asarray(outputs, dtype=np.float64)
 
     def __call__(self, x):
-        out = self.outputs[self.calls % len(self.outputs)]
-        self.calls += 1
-        return Tensor(np.tile(out, (x.shape[0], 1)))
+        return Tensor(np.repeat(self.outputs, x.shape[0] // len(self.outputs), axis=0))
 
 
 def test_c05_adversary_contract():
     # single order: zero exactly
     head = AdversaryHead(np.random.default_rng(5), in_dim=8)
-    single = [Tensor(rng.random((2, 2, 2, 1)))]
-    assert adversary_loss(single, single, head, head).item() == 0.0
+    single = Tensor(rng.random((2, 2, 2, 1)))
+    assert adversary_loss(single, single, head, head, 1).item() == 0.0
 
     # two orders with projections [0,0] and [3,4] per stage: 100 exactly
     stub = _ScriptedHead([[0.0, 0.0], [3.0, 4.0]])
-    slices = [Tensor(np.zeros((1, 2, 1, 1))), Tensor(np.ones((1, 2, 1, 1)))]
-    assert adversary_loss(slices, slices, stub, stub).item() == 100.0
+    stacked = Tensor(np.concatenate([np.zeros((1, 2, 1, 1)), np.ones((1, 2, 1, 1))]))
+    assert adversary_loss(stacked, stacked, stub, stub, 2).item() == 100.0
 
     # gradient arrives sign-flipped relative to the unreversed loss
     real = AdversaryHead(np.random.default_rng(6), in_dim=4, hidden=8, out_dim=3)
@@ -213,7 +207,9 @@ def test_c05_adversary_contract():
         a = Tensor(base.copy(), requires_grad=True)
         b = Tensor(other.copy(), requires_grad=True)
         if reverse:
-            loss = adversary_loss([a, b], [], real, real)
+            stacked = T.concat([a, b], axis=0)
+            # stage 4 gets a constant copy, so a and b see stage 3's gradient only
+            loss = adversary_loss(stacked, stacked.detach(), real, real, 2)
         else:
             proj = [real(t.reshape(2, -1)) for t in (a, b)]
             d01 = proj[0] - proj[1]

@@ -1,8 +1,9 @@
-"""Attention orders, per-order encoding, pyramid fusion, adversary."""
+"""Attention orders, stacked per-order encoding, pyramid fusion, adversary."""
 import numpy as np
 import pytest
 
 from conftest import gradcheck
+import styledl.tensor as T
 from styledl.errors import ContractViolation
 from styledl.hoa import (AdversaryHead, HighOrderAttention, adversary_loss,
                          encode_orders, fpn_fuse)
@@ -64,8 +65,8 @@ def test_encode_orders_runs_stages_in_sequence():
     f3 = ConvBlock(np.random.default_rng(1), 2, 4, stride=2)
     f4 = ConvBlock(np.random.default_rng(2), 4, 8, stride=2)
     x3, x4 = encode_orders(att_maps, f3, f4)
-    assert [t.shape for t in x3] == [(1, 4, 4, 4)] * 2
-    assert [t.shape for t in x4] == [(1, 8, 2, 2)] * 2
+    assert x3.shape == (2, 4, 4, 4)
+    assert x4.shape == (2, 8, 2, 2)
     with pytest.raises(ContractViolation):
         encode_orders([], f3, f4)
 
@@ -76,21 +77,21 @@ def test_encode_orders_stacked_matches_per_order(orders):
     f3 = ConvBlock(np.random.default_rng(1), 2, 4, stride=2)
     f4 = ConvBlock(np.random.default_rng(2), 4, 8, stride=2)
     x3, x4 = encode_orders(att_maps, f3, f4)
-    assert len(x3) == len(x4) == orders
-    for a, s3, s4 in zip(att_maps, x3, x4):
+    assert x3.shape[0] == x4.shape[0] == 2 * orders
+    for r, a in enumerate(att_maps):
         alone = f3(a)
-        np.testing.assert_allclose(s3.data, alone.data, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(s4.data, f4(alone).data, rtol=1e-12, atol=1e-12)
+        block = slice(2 * r, 2 * r + 2)
+        np.testing.assert_allclose(x3.data[block], alone.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(x4.data[block], f4(alone).data, rtol=1e-12, atol=1e-12)
 
 
 def test_fpn_shapes_and_mismatch():
     lateral = Conv1x1(np.random.default_rng(3), 8, 4)
-    x3 = [Tensor(rng.random((1, 4, 4, 4)))]
-    x4 = [Tensor(rng.random((1, 8, 2, 2)))]
-    fused = fpn_fuse(x3, x4, lateral)
-    assert fused[0].shape == (1, 4, 4, 4)
+    x3 = Tensor(rng.random((2, 4, 4, 4)))
+    x4 = Tensor(rng.random((2, 8, 2, 2)))
+    assert fpn_fuse(x3, x4, lateral).shape == (2, 4, 4, 4)
     with pytest.raises(ContractViolation):
-        fpn_fuse(x3, [], lateral)
+        fpn_fuse(x3, Tensor(rng.random((1, 8, 2, 2))), lateral)
 
 
 def test_fpn_additive_identity():
@@ -98,29 +99,27 @@ def test_fpn_additive_identity():
     lateral = Conv1x1(np.random.default_rng(4), 8, 4)
     lateral.w.data[:] = 0.0
     lateral.b.data[:] = 0.0
-    x3 = [Tensor(rng.random((1, 4, 4, 4)))]
-    x4 = [Tensor(rng.random((1, 8, 2, 2)))]
-    np.testing.assert_array_equal(fpn_fuse(x3, x4, lateral)[0].data, x3[0].data)
+    x3 = Tensor(rng.random((1, 4, 4, 4)))
+    x4 = Tensor(rng.random((1, 8, 2, 2)))
+    np.testing.assert_array_equal(fpn_fuse(x3, x4, lateral).data, x3.data)
 
 
 class _StubHead:
-    """Returns scripted projections regardless of input."""
+    """Returns scripted projections regardless of input: row block r of
+    the stacked rows gets outputs[r]."""
 
     def __init__(self, outputs):
-        self.outputs = [np.asarray(o, dtype=np.float64) for o in outputs]
-        self.calls = 0
+        self.outputs = np.asarray(outputs, dtype=np.float64)
 
     def __call__(self, x):
-        out = self.outputs[self.calls % len(self.outputs)]
-        self.calls += 1
-        return Tensor(np.tile(out, (x.shape[0], 1)))
+        return Tensor(np.repeat(self.outputs, x.shape[0] // len(self.outputs), axis=0))
 
 
 def test_adversary_zero_at_single_order():
     head = AdversaryHead(np.random.default_rng(5), in_dim=8)
-    x3 = [Tensor(rng.random((2, 2, 2, 1)))]
-    x4 = [Tensor(rng.random((2, 2, 2, 1)))]
-    loss = adversary_loss(x3, x4, head, head)
+    x3 = Tensor(rng.random((2, 2, 2, 1)))
+    x4 = Tensor(rng.random((2, 2, 2, 1)))
+    loss = adversary_loss(x3, x4, head, head, 1)
     assert loss.item() == 0.0
 
 
@@ -128,17 +127,27 @@ def test_adversary_hand_value_100():
     # projections [0,0] and [3,4]: each ordered pair contributes 25,
     # two pairs per stage, two stages -> 100
     stub = _StubHead([[0.0, 0.0], [3.0, 4.0]])
-    slices = [Tensor(np.zeros((1, 2, 1, 1))), Tensor(np.ones((1, 2, 1, 1)))]
-    loss = adversary_loss(slices, slices, stub, stub)
+    stacked = Tensor(np.concatenate([np.zeros((1, 2, 1, 1)), np.ones((1, 2, 1, 1))]))
+    loss = adversary_loss(stacked, stacked, stub, stub, 2)
     assert loss.item() == 100.0
 
 
 def test_adversary_batch_mean():
     stub = _StubHead([[0.0, 0.0], [3.0, 4.0]])
-    slices = [Tensor(np.zeros((4, 2, 1, 1))), Tensor(np.ones((4, 2, 1, 1)))]
-    loss = adversary_loss(slices, [slices[0]], stub, stub)
-    # single stage with batch 4: (25+25)*4 rows / 4 = 50
-    assert loss.item() == 50.0
+    stacked = Tensor(np.concatenate([np.zeros((4, 2, 1, 1)), np.ones((4, 2, 1, 1))]))
+    loss = adversary_loss(stacked, stacked, stub, stub, 2)
+    # per stage with batch 4: (25+25)*4 rows / 4 = 50; two stages -> 100
+    assert loss.item() == 100.0
+    with pytest.raises(ContractViolation):
+        adversary_loss(stacked, stacked, stub, stub, 3)
+
+
+def test_adversary_sums_every_ordered_pair():
+    # three orders, projections 0, 1 and 3 on one axis: ordered pairs give
+    # 2 * (1 + 9 + 4) = 28 per stage
+    stub = _StubHead([[0.0], [1.0], [3.0]])
+    stacked = Tensor(np.zeros((3, 1, 1, 1)))
+    assert adversary_loss(stacked, stacked, stub, stub, 3).item() == 56.0
 
 
 def test_adversary_gradient_is_reversed():
@@ -150,7 +159,9 @@ def test_adversary_gradient_is_reversed():
         a = Tensor(base.copy(), requires_grad=True)
         b = Tensor(other.copy(), requires_grad=True)
         if reverse:
-            loss = adversary_loss([a, b], [], head, head)
+            stacked = T.concat([a, b], axis=0)
+            # stage 4 gets a constant copy, so a and b see stage 3's gradient only
+            loss = adversary_loss(stacked, stacked.detach(), head, head, 2)
         else:
             flatten = [t.reshape(2, -1) for t in (a, b)]
             projections = [head(f) for f in flatten]
@@ -174,10 +185,6 @@ def test_grad_hoa_to_fpn_composite():
 
     def path(x):
         x3, x4 = encode_orders(att(x), f3, f4)
-        fused = fpn_fuse(x3, x4, lateral)
-        total = fused[0]
-        for f in fused[1:]:
-            total = total + f
-        return total
+        return fpn_fuse(x3, x4, lateral)
 
     gradcheck(path, rng.standard_normal((1, 2, 4, 4)))

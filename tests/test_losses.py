@@ -72,7 +72,7 @@ def test_pred_loss_averages_orders():
     t = _simplex(3, 4, seed=2)
     y1 = Tensor(_simplex(3, 4, seed=3))
     y2 = Tensor(_simplex(3, 4, seed=4))
-    both = pred_loss([y1, y2], None, t).item()
+    both = pred_loss(Tensor(np.concatenate([y1.data, y2.data])), None, t).item()
     expect = 0.5 * (kl_loss(t, y1).item() + kl_loss(t, y2).item())
     assert abs(both - expect) < 1e-12
 
@@ -81,14 +81,15 @@ def test_pred_loss_adds_graph_term():
     t = _simplex(2, 3, seed=5)
     y1 = Tensor(_simplex(2, 3, seed=6))
     ye = Tensor(_simplex(2, 3, seed=7))
-    with_graph = pred_loss([y1], ye, t).item()
+    with_graph = pred_loss(y1, ye, t).item()
     expect = kl_loss(t, y1).item() + kl_loss(t, ye).item()
     assert abs(with_graph - expect) < 1e-12
 
 
 def test_pred_loss_needs_orders():
-    with pytest.raises(ContractViolation):
-        pred_loss([], None, _simplex(1, 3))
+    for rows in (0, 3):
+        with pytest.raises(ContractViolation):
+            pred_loss(Tensor(_simplex(rows, 3)), None, _simplex(2, 3))
 
 
 def test_total_loss_reference_values():

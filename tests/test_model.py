@@ -29,8 +29,8 @@ def test_outputs_are_simplexes_for_every_preset(preset):
     out = net.forward(Tensor(rng.random((2, 3, 64, 64))))
     _assert_simplex(out.y.data)
     _assert_simplex(out.y_style.data)
-    for y in out.y_e:
-        _assert_simplex(y.data)
+    _assert_simplex(out.y_e.data)
+    assert out.y_e.shape == (2 * net.effective_orders, 6)
     if out.y_emotion is not None:
         _assert_simplex(out.y_emotion.data)
 
@@ -48,7 +48,7 @@ def test_mu_endpoints_select_branch():
 def test_backbone_only_preset_has_single_order_and_no_extras():
     net = _net("B")
     out = net.forward(Tensor(rng.random((1, 3, 64, 64))))
-    assert len(out.y_e) == 1
+    assert out.y_e.shape == (1, 6)
     assert out.y_emotion is None
     assert net.adv_head3 is None
     keys = net.parameters()
@@ -60,7 +60,7 @@ def test_attention_off_means_one_effective_order():
     net = _net("B+E")
     assert net.effective_orders == 1
     out = net.forward(Tensor(rng.random((1, 3, 64, 64))))
-    assert len(out.y_e) == 1
+    assert out.y_e.shape == (1, 6)
     assert out.y_emotion is not None
 
 
@@ -133,3 +133,27 @@ def test_ablation_flags_are_dataclass_presets():
 def test_public_names_resolve():
     for name in styledl.__all__:
         assert getattr(styledl, name, None) is not None, name
+
+
+# Outputs of the seeded model below, recorded before the attention orders
+# were kept stacked after stage 4. They pin the GCN's feature column order
+# (order 1's fused features, then order 2's), the style map shared by
+# both order blocks and the order mean, so old checkpoints keep their meaning.
+GOLDEN_R2 = {
+    "y": [[0.4963263364901333, 0.2771138323050148, 0.07680413247960069, 0.14975569872525113],
+          [0.08196247117552062, 0.22576025985548465, 0.43303994669095336, 0.2592373222780414]],
+    "y_style": [[0.00924851632508116, 0.542860979307065, 0.1608247321786352, 0.28706577218921864],
+                [0.028975085710673733, 0.4274765057233657, 0.04912934678722654,
+                 0.49441906177873396]],
+    "y_emotion": [[0.8210448832668348, 0.09994906763698132, 0.020790399346911036,
+                   0.05821564974927277],
+                  [0.11728739481875189, 0.09128276261023058, 0.6889803466267712,
+                   0.10244949594424635]],
+}
+
+
+def test_full_model_golden_outputs_at_two_orders():
+    net = EmotionDistributionNet(n_labels=4, orders=2, input_size=32, ablation="full", seed=7)
+    out = net.forward(np.random.default_rng(0).random((2, 3, 32, 32)))
+    for name, expect in GOLDEN_R2.items():
+        np.testing.assert_allclose(getattr(out, name).data, expect, rtol=1e-10, err_msg=name)

@@ -188,6 +188,18 @@ def test_checkpoint_round_trip_bit_exact(corpus, tmp_path):
     assert set(loaded.velocity) == set(ckpt.velocity)
 
 
+def test_checkpoint_preset_codes_survive_a_new_preset(corpus, tmp_path, monkeypatch):
+    # files store a preset as its index in PRESET_CODES; these nine are on disk
+    assert train_mod.PRESET_CODES[:9] == ("B", "B+E", "B+G", "B+G+V", "B+V", "full",
+                                          "inter_only", "noAN", "static_gcn_only")
+    assert sorted(train_mod.PRESET_CODES) == sorted(ABLATION_PRESETS)
+    manifest, root = corpus
+    path = tmp_path / "full.ckpt"
+    train(_fast_cfg(epochs=1, ablation="full"), manifest, root, out_path=path)
+    monkeypatch.setitem(ABLATION_PRESETS, "A", ABLATION_PRESETS["B"])
+    assert Checkpoint.load(path).config.ablation == "full"
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     p = tmp_path / "junk.ckpt"
     p.write_bytes(b"NOPE!" + b"\x00" * 16)
