@@ -63,9 +63,16 @@ def _parse_distribution(parts: list[str], n_labels: int, lineno: int) -> np.ndar
     return values / total
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a file; bytes that are not UTF-8 raise FormatError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not utf-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def load_manifest(path: str | Path) -> Manifest:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     header_idx = None
     for i, line in enumerate(lines):
         if line.strip():

@@ -9,6 +9,7 @@ preset is a different (smaller) model, not a masked one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .losses import combine_final
 from .style import InterLayerCorrelation, gram, stack_grams
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
+
 
 @dataclass(frozen=True)
 class AblationFlags:
@@ -34,16 +38,19 @@ class AblationFlags:
     adversary: bool
 
 
+# A checkpoint stores its preset as the preset's position in this dict.
+# Append new presets at the end and never reorder, or old files load as
+# a different model.
 ABLATION_PRESETS: dict[str, AblationFlags] = {
-    "full": AblationFlags(True, True, True, True, True, True),
     "B": AblationFlags(False, True, False, False, False, False),
-    "B+G": AblationFlags(True, True, False, False, False, False),
-    "B+V": AblationFlags(False, True, True, False, False, True),
     "B+E": AblationFlags(False, True, False, True, True, False),
+    "B+G": AblationFlags(True, True, False, False, False, False),
     "B+G+V": AblationFlags(True, True, True, False, False, True),
-    "static_gcn_only": AblationFlags(True, True, True, True, False, True),
+    "B+V": AblationFlags(False, True, True, False, False, True),
+    "full": AblationFlags(True, True, True, True, True, True),
     "inter_only": AblationFlags(True, False, True, True, True, True),
     "noAN": AblationFlags(True, True, True, True, True, False),
+    "static_gcn_only": AblationFlags(True, True, True, True, False, True),
 }
 
 STYLE_WIDTHS = (16, 32)
@@ -67,68 +74,44 @@ class ForwardOutput:
 
 
 class EmotionDistributionNet:
-    """The trainable network, specialized at build time by its preset."""
+    """The trainable network, built from a checked TrainConfig and specialized by its preset."""
 
-    def __init__(self, n_labels: int, orders: int = 2, lam: float = 0.8, mu: float = 0.6,
-                 input_size: int = 64, ablation: str = "full", gram_normalize: bool = False,
-                 seed: int = 0):
-        if ablation not in ABLATION_PRESETS:
-            raise ConfigurationError(f"unknown ablation '{ablation}', "
-                                     f"choose from {sorted(ABLATION_PRESETS)}")
-        if not 0.0 <= mu <= 1.0:
-            raise ConfigurationError(f"mu {mu} outside [0,1]")
-        if lam < 0 or not np.isfinite(lam):
-            raise ConfigurationError(f"lam {lam}")
+    def __init__(self, cfg: TrainConfig, n_labels: int):
         if n_labels < 2:
             raise ConfigurationError(f"need at least 2 labels, got {n_labels}")
-        if orders < 1:
-            raise ConfigurationError(f"orders {orders}")
+        self.cfg = cfg
         self.n_labels = n_labels
-        self.orders = orders
-        self.lam = lam
-        self.mu = mu
-        self.ablation = ablation
-        self.flags = ABLATION_PRESETS[ablation]
-        self.gram_normalize = gram_normalize
-        self.seed = seed
-        rng = np.random.default_rng(seed)
+        self.flags = ABLATION_PRESETS[cfg.ablation]
+        rng = np.random.default_rng(cfg.seed)
 
-        cfg = BackboneConfig(input_size=input_size)
-        self.backbone = Backbone(cfg, rng)
-        c0, c1, c2, c3, c4 = cfg.stage_channels
+        backbone_cfg = BackboneConfig(input_size=cfg.input_size)
+        self.backbone = Backbone(backbone_cfg, rng)
+        c0, c1, c2, c3, c4 = backbone_cfg.stage_channels
         w3 = self.backbone.tap_spatial(3)
         w4 = self.backbone.tap_spatial(4)
 
         flags = self.flags
         self.style_module: InterLayerCorrelation | None = None
         if flags.style:
-            if flags.gram_intra:
-                stack_side = max(c0, c1, c2)
-                stack_channels = 3
-            else:
-                # correlate the raw taps directly: resample each to the
-                # widest tap's extent and stack along channels
-                stack_side = self.backbone.tap_spatial(0)
-                stack_channels = c0 + c1 + c2
-            if stack_side % 4 != 0:
-                raise ConfigurationError(f"style stack side {stack_side} not divisible by 4")
+            # the three Gram maps stack as 3 channels; without them the raw
+            # taps are resampled to the widest tap's extent and stacked
+            stack_channels = 3 if flags.gram_intra else c0 + c1 + c2
             self.style_module = InterLayerCorrelation(rng, stack_channels, STYLE_WIDTHS)
 
         self.attention: HighOrderAttention | None = None
         self.lateral: Conv1x1 | None = None
         if flags.attention:
-            self.attention = HighOrderAttention(rng, c2, orders)
+            self.attention = HighOrderAttention(rng, c2, cfg.R)
             self.lateral = Conv1x1(rng, c4, c3)
-        self.effective_orders = orders if flags.attention else 1
+        self.effective_orders = cfg.R if flags.attention else 1
 
         style_c = self.style_module.out_channels if self.style_module else None
         self.fusion = FusionHead(rng, n_labels, content_channels=c3, deep_channels=c4,
                                  style_channels=style_c)
-        self.feature_width = w3 * w3 + w4 * w4
 
         self.gcn: StylisticGcn | None = None
         if flags.gcn:
-            gcn_in = self.effective_orders * self.feature_width
+            gcn_in = self.effective_orders * (w3 * w3 + w4 * w4)
             self.gcn = StylisticGcn(rng, n_labels, gcn_in, dynamic=flags.gcn_dynamic)
         self.static_adjacency = np.eye(n_labels)
 
@@ -147,7 +130,6 @@ class EmotionDistributionNet:
     def forward(self, images: Tensor | np.ndarray) -> ForwardOutput:
         x = images if isinstance(images, Tensor) else Tensor(images)
         taps = self.backbone.taps(x)
-        flags = self.flags
 
         atts = self.attention(taps.x2) if self.attention else [taps.x2]
         x3, x4 = encode_orders(atts, taps.f3, taps.f4)
@@ -155,10 +137,9 @@ class EmotionDistributionNet:
 
         style = None
         if self.style_module:
-            if flags.gram_intra:
-                stacked = stack_grams(gram(taps.x0, self.gram_normalize),
-                                      gram(taps.x1, self.gram_normalize),
-                                      gram(taps.x2, self.gram_normalize))
+            if self.flags.gram_intra:
+                grams = [gram(t, self.cfg.gram_normalize) for t in (taps.x0, taps.x1, taps.x2)]
+                stacked = stack_grams(*grams)
             else:
                 side = self.backbone.tap_spatial(0)
                 lifted = [T.resample_nearest(t, side, side) for t in (taps.x0, taps.x1, taps.x2)]
@@ -167,7 +148,7 @@ class EmotionDistributionNet:
 
         orders = self.effective_orders
         fe = self.fusion(style, content, x4)
-        y_e = pooled_distribution(fe, self.lam)
+        y_e = pooled_distribution(fe, self.cfg.lam)
         y_style = style_distribution(y_e, orders)
 
         y_emotion = None
@@ -177,8 +158,8 @@ class EmotionDistributionNet:
             joined = (fe.reshape(orders, batch, labels, width).transpose(1, 2, 0, 3)
                       .reshape(batch, labels, orders * width))
             enhanced = self.gcn(self.static_adjacency, joined)
-            y_emotion = emotion_distribution(enhanced, self.lam)
-            y = combine_final(y_emotion, y_style, self.mu)
+            y_emotion = emotion_distribution(enhanced, self.cfg.lam)
+            y = combine_final(y_emotion, y_style, self.cfg.mu)
         else:
             y = y_style
         return ForwardOutput(y=y, y_style=y_style, y_emotion=y_emotion, y_e=y_e, x3=x3, x4=x4)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import Manifest, cooccurrence_adjacency, load_images
+from .dataio import Manifest, cooccurrence_adjacency, load_images, read_utf8
 from .errors import ConfigurationError, ContractViolation, FormatError, TrainingError
 from .losses import pred_loss, total_loss
 from .metrics import MetricReport, evaluate_metrics
@@ -24,15 +24,12 @@ from .model import ABLATION_PRESETS, EmotionDistributionNet
 from .tensor import SGD, Tensor, no_grad
 
 CHECKPOINT_MAGIC = b"SEDL1"
-# A checkpoint stores its ablation preset as an index into this tuple.
-# Append new presets at the end and never reorder, or old files load as
-# a different model.
-PRESET_CODES = ("B", "B+E", "B+G", "B+G+V", "B+V", "full", "inter_only", "noAN",
-                "static_gcn_only")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Every hyper-parameter's one home: its default and its range."""
+
     R: int = 2
     lam: float = 0.8
     mu: float = 0.6
@@ -57,6 +54,14 @@ class TrainConfig:
             raise ConfigurationError("lr must be positive and lr_decay >= 1, both finite")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigurationError(f"weight_decay {self.weight_decay} must be finite and >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigurationError(f"lam {self.lam} must be finite and >= 0")
+        if not 0 <= self.mu <= 1:
+            raise ConfigurationError(f"mu {self.mu} must be in [0, 1]")
+        if not 0 <= self.momentum < 1:
+            raise ConfigurationError(f"momentum {self.momentum} must be in [0, 1)")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed} must be >= 0")
 
     @staticmethod
     def overfit(**overrides) -> "TrainConfig":
@@ -79,7 +84,7 @@ def load_train_config(path: str | Path) -> TrainConfig:
     """Parse a flat key=value file whose keys are TrainConfig field names."""
     fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -118,10 +123,7 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
 
 
 def build_model(cfg: TrainConfig, n_labels: int) -> EmotionDistributionNet:
-    return EmotionDistributionNet(
-        n_labels=n_labels, orders=cfg.R, lam=cfg.lam, mu=cfg.mu,
-        input_size=cfg.input_size, ablation=cfg.ablation,
-        gram_normalize=cfg.gram_normalize, seed=cfg.seed)
+    return EmotionDistributionNet(cfg, n_labels)
 
 
 # ------------------------------------------------------------- checkpoint
@@ -140,7 +142,7 @@ class Checkpoint:
         for field in dataclasses.fields(TrainConfig):
             value = getattr(self.config, field.name)
             if field.name == "ablation":
-                value = PRESET_CODES.index(value)
+                value = list(ABLATION_PRESETS).index(value)
             entries.append((f"config/{field.name}", np.array(float(value))))
         entries.append(("meta/epoch", np.array(float(self.epoch))))
         entries.append(("meta/n_labels", np.array(float(self.n_labels))))
@@ -154,13 +156,13 @@ class Checkpoint:
         with open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             for key, arr in entries:
-                data = np.ascontiguousarray(arr, dtype=np.float64)
+                data = np.ascontiguousarray(arr, dtype="<f8")
                 kb = key.encode("utf-8")
                 f.write(struct.pack("<I", len(kb)))
                 f.write(kb)
                 f.write(struct.pack("<I", data.ndim))
                 f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-                f.write(data.astype("<f8").tobytes())
+                f.write(data)
 
     @staticmethod
     def load(path: str | Path) -> "Checkpoint":
@@ -193,9 +195,9 @@ class Checkpoint:
             key = f"config/{field.name}"
             if field.name == "ablation":
                 index = integer(key)
-                if not 0 <= index < len(PRESET_CODES):
+                if not 0 <= index < len(ABLATION_PRESETS):
                     raise FormatError(f"{path}: entry {key!r} holds unknown preset index {index}")
-                cfg_values[field.name] = PRESET_CODES[index]
+                cfg_values[field.name] = list(ABLATION_PRESETS)[index]
             elif field.type == "int":
                 cfg_values[field.name] = integer(key)
             elif field.type == "bool":
@@ -206,10 +208,19 @@ class Checkpoint:
             config = TrainConfig(**cfg_values)
         except ConfigurationError as exc:
             raise FormatError(f"{path}: 'config/*' entries: {exc}") from None
+        n_labels = integer("meta/n_labels")
         try:
             label_names = required("meta/label_names").astype(np.uint8).tobytes().decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: entry 'meta/label_names' is not utf-8") from None
+        label_names = label_names.split(",")
+        if len(label_names) != n_labels:
+            raise FormatError(f"{path}: entry 'meta/label_names' holds {len(label_names)} names "
+                              f"for {n_labels} labels")
+        adjacency = required("adjacency/static")
+        if adjacency.shape != (n_labels, n_labels):
+            raise FormatError(f"{path}: entry 'adjacency/static' has shape {adjacency.shape} "
+                              f"for {n_labels} labels")
         params = {k[len("param/"):]: v for k, v in entries.items() if k.startswith("param/")}
         velocity = {k[len("momentum/"):]: v for k, v in entries.items() if k.startswith("momentum/")}
         if not params or set(velocity) != set(params):
@@ -217,12 +228,12 @@ class Checkpoint:
                               f"(file ends at offset {len(buf)})")
         return Checkpoint(
             config=config,
-            n_labels=integer("meta/n_labels"),
-            label_names=label_names.split(","),
+            n_labels=n_labels,
+            label_names=label_names,
             epoch=integer("meta/epoch"),
             params=params,
             velocity=velocity,
-            adjacency=required("adjacency/static"),
+            adjacency=adjacency,
         )
 
     def build_model(self) -> EmotionDistributionNet:

@@ -146,8 +146,8 @@ def test_c02_gradient_integrity():
 def test_c03_simplex_invariants():
     forwards = 0
     for mu in (0.0, 0.3, 0.6, 1.0):
-        model = EmotionDistributionNet(n_labels=5, mu=mu, input_size=32,
-                                       ablation="full", seed=3)
+        model = EmotionDistributionNet(TrainConfig(mu=mu, input_size=32, ablation="full",
+                                                   seed=3), 5)
         r = np.random.default_rng(int(mu * 10))
         for _ in range(50):
             out = model.forward(r.random((1, 3, 32, 32)))

@@ -89,6 +89,19 @@ def test_cli_reports_errors_not_tracebacks(workdir, capsys):
                  "--manifest", str(data / "manifest.txt")]) == 1
 
 
+@pytest.mark.parametrize("line", ["mu=1.5", "lam=-1", "momentum=1.0", "seed=-1"])
+def test_train_rejects_out_of_range_config_before_reading_images(tmp_path, capsys, line):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("#labels: a,b\nmissing_0.ppm,0.5,0.5\nmissing_1.ppm,1,0\n")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"epochs=1\ninput_size=32\n{line}\n")
+    assert main(["train", "--config", str(cfg), "--manifest", str(manifest),
+                 "--out", str(tmp_path / "x.ckpt")]) == 1
+    err = capsys.readouterr().err
+    key = line.split("=")[0]
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
+
+
 def test_cli_reports_training_error(workdir, capsys, monkeypatch):
     import styledl.training as train_mod
     from styledl.tensor import Tensor

@@ -57,6 +57,13 @@ def test_manifest_rejects_negative_and_malformed(tmp_path):
         load_manifest(_write(tmp_path, "no header\nx.ppm,1.0\n"))
 
 
+def test_manifest_not_utf8_names_the_path(tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes("#labels: a,b\ncaf\u00e9.ppm,0.5,0.5\n".encode("latin-1"))
+    with pytest.raises(FormatError, match="latin1.txt: not utf-8"):
+        load_manifest(p)
+
+
 def test_manifest_skips_blank_lines(tmp_path):
     p = _write(tmp_path, "\n#labels: a,b\n\nx.ppm,0.5,0.5\n\n")
     assert len(load_manifest(p)) == 1

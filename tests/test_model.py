@@ -6,16 +6,13 @@ import styledl
 from styledl.errors import ConfigurationError, ContractViolation
 from styledl.model import ABLATION_PRESETS, AblationFlags, EmotionDistributionNet
 from styledl.tensor import Tensor
+from styledl.training import TrainConfig
 
 rng = np.random.default_rng(61)
 
 
-def _net(preset="full", **kw):
-    kw.setdefault("n_labels", 6)
-    kw.setdefault("orders", 2)
-    kw.setdefault("input_size", 64)
-    kw.setdefault("seed", 0)
-    return EmotionDistributionNet(ablation=preset, **kw)
+def _net(preset="full", n_labels=6, **cfg):
+    return EmotionDistributionNet(TrainConfig(ablation=preset, **cfg), n_labels)
 
 
 def _assert_simplex(arr, atol=1e-6):
@@ -68,7 +65,7 @@ def test_adversary_needs_attention_and_flag():
     assert _net("full").adv_head3 is not None
     assert _net("noAN").adv_head3 is None
     assert _net("B+E").adv_head3 is None  # no attention, single order
-    assert _net("full", orders=1).adv_head3 is None
+    assert _net("full", R=1).adv_head3 is None
 
 
 def test_static_gcn_only_has_no_dynamic_params():
@@ -110,7 +107,7 @@ def test_constructor_validation():
     with pytest.raises(ConfigurationError):
         _net("full", lam=-1.0)
     with pytest.raises(ConfigurationError):
-        _net("full", orders=0)
+        _net("full", R=0)
 
 
 def test_set_static_adjacency_validates():
@@ -153,7 +150,7 @@ GOLDEN_R2 = {
 
 
 def test_full_model_golden_outputs_at_two_orders():
-    net = EmotionDistributionNet(n_labels=4, orders=2, input_size=32, ablation="full", seed=7)
+    net = EmotionDistributionNet(TrainConfig(R=2, input_size=32, ablation="full", seed=7), 4)
     out = net.forward(np.random.default_rng(0).random((2, 3, 32, 32)))
     for name, expect in GOLDEN_R2.items():
         np.testing.assert_allclose(getattr(out, name).data, expect, rtol=1e-10, err_msg=name)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from styledl.model import EmotionDistributionNet
+from styledl.training import TrainConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -24,7 +25,7 @@ def test_tracer_installs_counts_model_spans_and_restores():
     tr = tracer.Tracer()
     tr.install()
     try:
-        net = EmotionDistributionNet(n_labels=3, orders=2, input_size=32, seed=0)
+        net = EmotionDistributionNet(TrainConfig(R=2, input_size=32, seed=0), 3)
         net.adversary(net.forward(np.random.default_rng(0).random((1, 3, 32, 32))))
     finally:
         tr.restore()

@@ -1,5 +1,6 @@
 """Config parsing, schedule, training loop behavior, checkpoint format."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -82,9 +83,22 @@ def test_config_validation():
         TrainConfig(lr_decay=0.5)
     for bad in (dict(lr=math.nan), dict(lr=math.inf), dict(lr_decay=math.nan),
                 dict(lr_decay=math.inf), dict(weight_decay=math.nan),
-                dict(weight_decay=math.inf), dict(weight_decay=-1e-4)):
+                dict(weight_decay=math.inf), dict(weight_decay=-1e-4), dict(mu=1.5),
+                dict(lam=-1.0), dict(momentum=1.0), dict(seed=-1)):
         with pytest.raises(ConfigurationError):
             TrainConfig(**bad)
+
+
+def test_config_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().mu = 0.5
+
+
+def test_config_not_utf8_names_the_path(tmp_path):
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes(b"lr=0.5\n# \xe9\n")
+    with pytest.raises(FormatError, match="latin1.cfg: not utf-8"):
+        load_train_config(p)
 
 
 def test_overfit_preset():
@@ -189,15 +203,67 @@ def test_checkpoint_round_trip_bit_exact(corpus, tmp_path):
 
 
 def test_checkpoint_preset_codes_survive_a_new_preset(corpus, tmp_path, monkeypatch):
-    # files store a preset as its index in PRESET_CODES; these nine are on disk
-    assert train_mod.PRESET_CODES[:9] == ("B", "B+E", "B+G", "B+G+V", "B+V", "full",
-                                          "inter_only", "noAN", "static_gcn_only")
-    assert sorted(train_mod.PRESET_CODES) == sorted(ABLATION_PRESETS)
+    # files store a preset as its position in ABLATION_PRESETS; these nine are on disk
+    assert tuple(ABLATION_PRESETS)[:9] == ("B", "B+E", "B+G", "B+G+V", "B+V", "full",
+                                           "inter_only", "noAN", "static_gcn_only")
     manifest, root = corpus
     path = tmp_path / "full.ckpt"
     train(_fast_cfg(epochs=1, ablation="full"), manifest, root, out_path=path)
     monkeypatch.setitem(ABLATION_PRESETS, "A", ABLATION_PRESETS["B"])
     assert Checkpoint.load(path).config.ablation == "full"
+
+
+def _pinned_checkpoint(**overrides):
+    """A small checkpoint from fixed arrays: preset noAN, no default config
+    value, a transposed, a Fortran-order, a float32 and a 0-d array."""
+    cfg = TrainConfig(R=3, lam=0.5, mu=0.25, lr=0.02, momentum=0.5, weight_decay=1e-3,
+                      batch_size=4, epochs=7, lr_decay=2.0, seed=5, ablation="noAN",
+                      input_size=32, flip=False, gram_normalize=True)
+    grid = np.arange(12.0).reshape(3, 4) / 8 - 0.75
+    fields = dict(
+        config=cfg, n_labels=3, label_names=["joy", "awe", "fear"], epoch=7,
+        params={"stem/w": grid, "stem/w_t": grid.T,
+                "head/b": np.array([0.5, -1.25], np.float32), "scale": np.array(2.0)},
+        velocity={"stem/w": grid * -0.5, "stem/w_t": np.asfortranarray(grid.T),
+                  "head/b": np.zeros(2), "scale": np.array(-0.125)},
+        adjacency=np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.125, 0.375, 0.5]]))
+    fields.update(overrides)
+    return Checkpoint(**fields)
+
+
+# SHA-256 of the SEDL1 file `_pinned_checkpoint().save` wrote when it was
+# recorded; it pins the record order, the config-field order and the preset codes.
+PINNED_SEDL1_SHA256 = "978aa12b9dcf8e154344bcd3fff2934e31e080d9f6988a63156690f6dc7d399a"
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    ckpt = _pinned_checkpoint()
+    path = tmp_path / "pinned.ckpt"
+    ckpt.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SEDL1_SHA256
+    loaded = Checkpoint.load(path)
+    assert loaded.config == ckpt.config
+    assert (loaded.n_labels, loaded.label_names, loaded.epoch) == (3, ["joy", "awe", "fear"], 7)
+    np.testing.assert_array_equal(loaded.adjacency, ckpt.adjacency)
+    for loaded_arrays, arrays in ((loaded.params, ckpt.params), (loaded.velocity, ckpt.velocity)):
+        assert list(loaded_arrays) == list(arrays)
+        for key, arr in arrays.items():
+            arr = np.atleast_1d(arr)  # SEDL1 stores a 0-d array with shape (1,)
+            assert loaded_arrays[key].dtype == np.float64 and loaded_arrays[key].shape == arr.shape
+            np.testing.assert_array_equal(loaded_arrays[key], arr)
+
+
+@pytest.mark.parametrize("overrides, entry", [
+    (dict(label_names=["joy", "awe"]), "meta/label_names"),
+    (dict(adjacency=np.eye(2)), "adjacency/static")])
+def test_checkpoint_label_count_must_agree(tmp_path, capsys, overrides, entry):
+    path = tmp_path / "mismatch.ckpt"
+    _pinned_checkpoint(**overrides).save(path)
+    with pytest.raises(FormatError, match=f"mismatch.ckpt: entry '{entry}'"):
+        Checkpoint.load(path)
+    assert main(["predict", "--checkpoint", str(path), "--image", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: entry '{entry}'") and err.count("\n") == 1, err
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -232,7 +298,8 @@ def test_checkpoint_truncations_raise_format_error(corpus, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("config/ablation", 99.0), ("config/lr", -1.0), ("meta/epoch", 1.5),
-    ("meta/n_labels", np.nan), ("meta/label_names", 255.0)])
+    ("meta/n_labels", np.nan), ("meta/label_names", 255.0), ("config/mu", 1.5),
+    ("config/lam", -1.0), ("config/momentum", 1.0), ("config/seed", -1.0)])
 def test_checkpoint_corrupt_values_raise_format_error(corpus, tmp_path, key, value):
     manifest, root = corpus
     path = tmp_path / "bad.ckpt"
@@ -266,7 +333,7 @@ def test_evaluate_produces_report(corpus):
 def test_build_model_respects_config():
     cfg = TrainConfig(R=3, ablation="full", input_size=32)
     model = build_model(cfg, n_labels=5)
-    assert model.orders == 3 and model.n_labels == 5
+    assert model.effective_orders == 3 and model.n_labels == 5
 
 
 # ----------------------------------------------------------- inference
