@@ -80,9 +80,14 @@ class Backbone:
         return out
 
 
+def check_input_size(size: int) -> None:
+    """Five stride-2 stages halve the input exactly only at a multiple of 32."""
+    if size % 32 != 0 or size <= 0:
+        raise ConfigurationError(f"input_size {size} must be a positive multiple of 32")
+
+
 def _validate_config(cfg: BackboneConfig) -> None:
-    if cfg.input_size % 32 != 0 or cfg.input_size <= 0:
-        raise ConfigurationError(f"input_size {cfg.input_size} must be a positive multiple of 32")
+    check_input_size(cfg.input_size)
     if len(cfg.stage_channels) != 5:
         raise ConfigurationError(f"need 5 stage channel counts, got {cfg.stage_channels}")
     if any(c < 1 for c in cfg.stage_channels):

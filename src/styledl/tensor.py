@@ -378,10 +378,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 # ------------------------------------------------------------ convolution
-def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    bsz, cin = xp.shape[:2]
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
+    """Unfold [B,C,H,W] into the [C*k*k, B*ho*wo] patch matrix.
+
+    Padding happens here: for pad > 0 the input is written once into an
+    owned channel-major zero buffer [C, B, H+2*pad, W+2*pad]; a negative
+    pad crops -pad cells from every border instead. The k*k strided
+    slices are then copied into the returned matrix, which the caller owns.
+    """
+    bsz, cin, h, w = x.shape
+    xt = x.transpose(1, 0, 2, 3)
+    if pad > 0:
+        xp = np.zeros((cin, bsz, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+        xp[:, :, pad : pad + h, pad : pad + w] = xt
+        xt = xp
+    elif pad < 0:
+        xt = xt[:, :, -pad : h + pad, -pad : w + pad]
     cols = np.empty((cin, k, k, bsz, ho, wo), dtype=np.float64)
-    xt = xp.transpose(1, 0, 2, 3)
     for ki in range(k):
         for kj in range(k):
             cols[:, ki, kj] = xt[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
@@ -389,14 +402,17 @@ def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
 
 
 def _col2im(gcols: np.ndarray, xshape, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
+    """Adjoint of `_im2col` for strided convs: scatter-add the patch
+    gradients into an owned channel-major zero buffer [C, B, H+2*pad,
+    W+2*pad] and return the unpadded [B,C,H,W] region as a transposed view
+    of it (the caller's `_accumulate` makes the one copy)."""
     bsz, cin, h, w = xshape
-    gxp = np.zeros((bsz, cin, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    gxt = gxp.transpose(1, 0, 2, 3)
+    gxt = np.zeros((cin, bsz, h + 2 * pad, w + 2 * pad), dtype=np.float64)
     g6 = gcols.reshape(cin, k, k, bsz, ho, wo)
     for ki in range(k):
         for kj in range(k):
             gxt[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += g6[:, ki, kj]
-    return gxp[:, :, pad : pad + h, pad : pad + w]
+    return gxt[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -406,11 +422,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     H' = (H + 2*pad - k) // stride + 1, which is what lets a 3x3
     stride-2 kernel with pad 1 halve an even input exactly.
 
-    The input is unfolded (im2col) to one [Cin*k*k, B*H'*W'] matrix, so a
-    single GEMM with the [Cout, Cin*k*k] weight covers the whole batch in
-    the forward, and one each in the weight and input gradients
-    (Chellapilla et al., 2006). A 1x1 conv is then one transpose copy and
-    one GEMM.
+    The input is unfolded (im2col, padding included) to one
+    [Cin*k*k, B*H'*W'] matrix, so a single GEMM with the [Cout, Cin*k*k]
+    weight covers the whole batch in the forward, and one each in the
+    weight and input gradients (Chellapilla et al., 2006). A 1x1 conv is
+    then one transpose copy and one GEMM.
+
+    The input gradient of a stride-1 conv is itself a correlation: the
+    output gradient, padded by k-1-pad (cropped when that is negative),
+    correlated with the spatially flipped kernel whose in and out
+    channels are swapped (Dumoulin & Visin, 2016). So it is gathered by
+    one `_im2col` of the gradient and one GEMM. Strided convs scatter-add
+    the patch gradients back with `_col2im`.
     """
     x, w = _coerce(x), _coerce(w)
     if x.data.ndim != 4:
@@ -429,8 +452,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise ContractViolation(f"conv2d bias shape {b.shape}, expected ({cout},)")
     ho = (h + 2 * pad - k) // stride + 1
     wo = (wid + 2 * pad - k) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, k, stride, ho, wo)
+    cols = _im2col(x.data, k, stride, pad, ho, wo)
     wm = w.data.reshape(cout, cin * k * k)
     out = wm @ cols
     if b is not None:
@@ -443,8 +465,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             _accumulate(w, (g2 @ cols.T).reshape(w.data.shape))
         if b is not None and b.requires_grad:
             _accumulate(b, g2.sum(axis=1))
-        if x.requires_grad:
+        if not x.requires_grad:
+            return
+        if stride > 1:
             _accumulate(x, _col2im(wm.T @ g2, x.data.shape, k, stride, pad, ho, wo))
+            return
+        # unfolding g for an unpadded 1x1 conv would copy g2 again
+        gcols = g2 if k == 1 and pad == 0 else _im2col(g, k, 1, k - 1 - pad, h, wid)
+        wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+        _accumulate(x, (wf @ gcols).reshape(cin, bsz, h, wid).transpose(1, 0, 2, 3))
 
     out = np.ascontiguousarray(out.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3))
     return _result(out, parents, grad_fn)
@@ -453,31 +482,43 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 # ------------------------------------------------------------- layer norm
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize each sample of [B,C,H,W] over (C,H,W), then apply a
-    per-channel affine. Mean 0 / variance 1 holds before the affine."""
+    per-channel affine. Mean 0 / variance 1 holds before the affine.
+
+    The forward centers x into one owned buffer and normalizes it in
+    place into x_hat, which the backward keeps. The backward needs only
+    two sums per (sample, channel), s_g = sum_hw g and s_gx = sum_hw g*x_hat
+    (Ba et al., 2016): they give both affine gradients and, through gamma,
+    the mean and projection terms of dx. dx is built in place in one
+    buffer; only the projection term x_hat * (s_gx @ gamma / n) needs a
+    temporary.
+    """
     if x.data.ndim != 4:
         raise ContractViolation(f"layer_norm input must be [B,C,H,W], got {x.shape}")
-    c = x.data.shape[1]
+    bsz, c = x.data.shape[:2]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ContractViolation(f"layer_norm affine shapes {gamma.shape}/{beta.shape} for C={c}")
-    axes = (1, 2, 3)
-    mu = x.data.mean(axis=axes, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    n = x.data[0].size
+    xhat = x.data - x.data.mean(axis=(1, 2, 3), keepdims=True)
+    var = np.einsum("bchw,bchw->b", xhat, xhat) / n
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(bsz, 1, 1, 1)
+    xhat *= inv_std
     gb = gamma.data.reshape(1, c, 1, 1)
-    out = gb * xhat + beta.data.reshape(1, c, 1, 1)
+    out = xhat * gb
+    out += beta.data.reshape(1, c, 1, 1)
 
     def grad_fn(g):
+        s_g = g.sum(axis=(2, 3))
+        s_gx = np.einsum("bchw,bchw->bc", g, xhat)
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
+            _accumulate(gamma, s_gx.sum(axis=0))
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=(0, 2, 3)))
+            _accumulate(beta, s_g.sum(axis=0))
         if x.requires_grad:
-            dxhat = g * gb
-            term_mean = dxhat.mean(axis=axes, keepdims=True)
-            term_proj = (dxhat * xhat).mean(axis=axes, keepdims=True)
-            _accumulate(x, inv_std * (dxhat - term_mean - xhat * term_proj))
+            dx = g * gb
+            dx -= (s_g @ gamma.data / n).reshape(bsz, 1, 1, 1)
+            dx -= xhat * (s_gx @ gamma.data / n).reshape(bsz, 1, 1, 1)
+            dx *= inv_std
+            _accumulate(x, dx)
 
     return _result(out, (x, gamma, beta), grad_fn)
 
@@ -491,8 +532,11 @@ def nearest_index(src: int, dst: int) -> np.ndarray:
 def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Nearest-neighbour spatial resample of [...,H,W] in either direction.
 
-    Source index for output row i is floor(i * H / out_h); the gradient
-    scatter-adds back, so replicated cells sum their contributions.
+    Source index for output row i is floor(i * H / out_h). The gradient
+    sums the output cells that copied each source cell: a whole-factor
+    upsample sums each fh x fw block by a reshape, a whole-factor
+    downsample (which picks distinct cells) assigns into zeros, and any
+    other ratio scatter-adds with `np.add.at`.
     """
     if x.data.ndim < 2:
         raise ContractViolation(f"resample needs spatial trailing axes, got {x.shape}")
@@ -506,9 +550,15 @@ def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
     lead = int(np.prod(lead_shape)) if lead_shape else 1
 
     def grad_fn(g):
-        gx = np.zeros((lead, h, w), dtype=np.float64)
         g3 = g.reshape(lead, out_h, out_w)
-        np.add.at(gx, (np.arange(lead)[:, None, None], rows[None, :, None], cols[None, None, :]), g3)
+        if out_h % h == 0 and out_w % w == 0:
+            gx = g3.reshape(lead, h, out_h // h, w, out_w // w).sum(axis=(2, 4))
+        else:
+            gx = np.zeros((lead, h, w), dtype=np.float64)
+            if h % out_h == 0 and w % out_w == 0:
+                gx[:, :: h // out_h, :: w // out_w] = g3
+            else:
+                np.add.at(gx, (np.arange(lead)[:, None, None], rows[None, :, None], cols[None, None, :]), g3)
         _accumulate(x, gx.reshape(x.data.shape))
 
     return _result(out, (x,), grad_fn)
@@ -616,8 +666,13 @@ class SGD:
             t.grad = None
 
     def step(self) -> None:
+        """One update, in place on each velocity and parameter array; the
+        operation order is that of the formula above, so results are the
+        same bits as computing it out of place."""
         for key, t in self.params.items():
-            g = t.grad if t.grad is not None else np.zeros_like(t.data)
-            v = self.momentum * self.velocity[key] + g + self.weight_decay * t.data
-            self.velocity[key] = v
-            t.data = t.data - self.lr * v
+            v = self.velocity[key]
+            v *= self.momentum
+            if t.grad is not None:
+                v += t.grad
+            v += self.weight_decay * t.data
+            t.data -= self.lr * v

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .backbone import check_input_size
 from .dataio import Manifest, cooccurrence_adjacency, load_images, read_utf8
 from .errors import ConfigurationError, ContractViolation, FormatError, TrainingError
 from .losses import pred_loss, total_loss
@@ -62,6 +63,7 @@ class TrainConfig:
             raise ConfigurationError(f"momentum {self.momentum} must be in [0, 1)")
         if self.seed < 0:
             raise ConfigurationError(f"seed {self.seed} must be >= 0")
+        check_input_size(self.input_size)
 
     @staticmethod
     def overfit(**overrides) -> "TrainConfig":

@@ -26,11 +26,23 @@ def workloads():
         sys.modules.pop("tracer", None)
 
 
-@pytest.mark.parametrize("name", ["train-full", "train-backbone-128", "predict"])
-def test_untraced_workload_runs_without_failures(workloads, tmp_path, name):
+def _tiny_run(workloads, tmp_path, name, trace):
     assert name in workloads.WORKLOADS
     scale = workloads.Scale(images=8, setup_repeats=2, save_repeats=1, single_images=2,
                             min_ops=1)
-    result, _ = workloads.run(name, seed=3, seconds=0.01, trace=False, workdir=tmp_path,
+    result, _ = workloads.run(name, seed=3, seconds=0.01, trace=trace, workdir=tmp_path,
                               scale=scale)
     assert result["attempted"] > 0 and result["failed"] == 0, result
+
+
+@pytest.mark.parametrize("name", ["train-full", "train-backbone-128", "predict"])
+def test_untraced_workload_runs_without_failures(workloads, tmp_path, name):
+    _tiny_run(workloads, tmp_path, name, trace=False)
+
+
+@pytest.mark.parametrize("name", ["train-full", "predict"])
+def test_traced_workload_runs_without_failures(workloads, tmp_path, name):
+    """The traced run checks that traced and untraced results are the same
+    bits, that the tracer restores every name it patched, and that every
+    3x3 conv shape it saw has a row; each failed check counts as failed."""
+    _tiny_run(workloads, tmp_path, name, trace=True)

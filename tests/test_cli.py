@@ -89,7 +89,8 @@ def test_cli_reports_errors_not_tracebacks(workdir, capsys):
                  "--manifest", str(data / "manifest.txt")]) == 1
 
 
-@pytest.mark.parametrize("line", ["mu=1.5", "lam=-1", "momentum=1.0", "seed=-1"])
+@pytest.mark.parametrize("line", ["mu=1.5", "lam=-1", "momentum=1.0", "seed=-1",
+                                  "input_size=33"])
 def test_train_rejects_out_of_range_config_before_reading_images(tmp_path, capsys, line):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("#labels: a,b\nmissing_0.ppm,0.5,0.5\nmissing_1.ppm,1,0\n")

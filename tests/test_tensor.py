@@ -142,7 +142,7 @@ def _conv_reference(x, w, b, stride, pad, proj):
 @pytest.mark.parametrize("bsz", [1, 3])
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("pad", [0, 1, 2])
 def test_conv2d_matches_loop_reference(bsz, k, stride, pad):
     r = np.random.default_rng(100 * bsz + 10 * k + 2 * stride + pad)
     x = Tensor(r.standard_normal((bsz, 3, 5, 6)), requires_grad=True)
@@ -169,16 +169,67 @@ def test_conv2d_batch_rows_match_batch_one():
 
 
 def test_grad_layer_norm():
-    x = rng.standard_normal((2, 3, 2, 2))
-    gamma = rng.random(3) + 0.5
-    beta = rng.standard_normal(3)
-    gradcheck(lambda a, g, b: T.layer_norm(a, g, b), x, gamma, beta)
+    for bsz in (2, 3):
+        x = rng.standard_normal((bsz, 3, 2, 2))
+        gamma = rng.random(3) + 0.5
+        beta = rng.standard_normal(3)
+        gradcheck(lambda a, g, b: T.layer_norm(a, g, b), x, gamma, beta)
+
+
+def test_layer_norm_matches_textbook_reference():
+    r = np.random.default_rng(12)
+    x = Tensor(r.standard_normal((3, 4, 5, 6)) * 3.0 + 1.5, requires_grad=True)
+    gamma = Tensor(r.random(4) + 0.5, requires_grad=True)
+    beta = Tensor(r.standard_normal(4), requires_grad=True)
+    out = T.layer_norm(x, gamma, beta)
+    g = r.standard_normal(out.shape)
+    (out * Tensor(g)).sum().backward()
+    # per sample: y = gamma * (x - m) / s + beta over its n = C*H*W values
+    eps, n = 1e-6, x.data[0].size
+    want_out, want_gx = np.empty_like(x.data), np.empty_like(x.data)
+    want_gg, want_gb = np.zeros(4), np.zeros(4)
+    for i in range(3):
+        xi, gi = x.data[i], g[i]
+        m = xi.mean()
+        s = np.sqrt(((xi - m) ** 2).mean() + eps)
+        xhat = (xi - m) / s
+        want_out[i] = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
+        want_gg += (gi * xhat).sum(axis=(1, 2))
+        want_gb += gi.sum(axis=(1, 2))
+        dxhat = gi * gamma.data[:, None, None]
+        want_gx[i] = (n * dxhat - dxhat.sum() - xhat * (dxhat * xhat).sum()) / (n * s)
+    for got, want in ((out.data, want_out), (x.grad, want_gx), (gamma.grad, want_gg),
+                      (beta.grad, want_gb)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_grad_resample():
     gradcheck(lambda a: T.upsample_nearest(a, 4, 4), rng.standard_normal((1, 2, 2, 2)))
+    gradcheck(lambda a: T.upsample_nearest(a, 4, 6), rng.standard_normal((2, 1, 2, 2)))
     gradcheck(lambda a: T.resample_nearest(a, 2, 2), rng.standard_normal((1, 2, 4, 4)))
     gradcheck(lambda a: T.resample_nearest(a, 3, 5), rng.standard_normal((1, 1, 4, 4)))
+    gradcheck(lambda a: T.resample_nearest(a, 6, 2), rng.standard_normal((1, 2, 3, 4)))
+
+
+@pytest.mark.parametrize("src, dst", [
+    ((2, 2), (4, 6)),   # whole-factor upsample, unequal factors
+    ((8, 8), (4, 2)),   # whole-factor downsample
+    ((2, 8), (4, 4)),   # up in H, down in W
+    ((4, 4), (3, 3)),   # no whole factor
+    ((3, 5), (3, 5)),   # identity
+])
+def test_resample_backward_matches_scatter_add(src, dst):
+    r = np.random.default_rng(sum(src) + sum(dst))
+    x = Tensor(r.standard_normal((2, 3) + src), requires_grad=True)
+    out = T.resample_nearest(x, *dst)
+    g = r.standard_normal(out.shape)
+    (out * Tensor(g)).sum().backward()
+    want = np.zeros((6,) + src)
+    rows, cols = T.nearest_index(src[0], dst[0]), T.nearest_index(src[1], dst[1])
+    np.add.at(want, (np.arange(6)[:, None, None], rows[None, :, None], cols[None, None, :]),
+              g.reshape((6,) + dst))
+    # a block sum may add in another order than the scatter-add
+    np.testing.assert_allclose(x.grad, want.reshape(x.shape), rtol=1e-13, atol=1e-15)
 
 
 def test_grad_concat_repeat():
@@ -393,6 +444,26 @@ def test_sgd_validates_hyperparams():
                 dict(lr=0.1, weight_decay=np.inf), dict(lr=0.1, weight_decay=-1e-4)):
         with pytest.raises(ConfigurationError):
             SGD({"p": p}, **bad)
+
+
+def test_sgd_in_place_step_matches_out_of_place_formula():
+    r = np.random.default_rng(5)
+    params = {k: Tensor(r.standard_normal(shape), requires_grad=True)
+              for k, shape in (("w", (4, 3)), ("b", (3,)), ("unused", (2, 2)))}
+    ref_p = {k: t.data.copy() for k, t in params.items()}
+    ref_v = {k: np.zeros_like(a) for k, a in ref_p.items()}
+    opt = SGD(params, lr=0.05, momentum=0.9, weight_decay=1e-3)
+    for _ in range(3):
+        for k, t in params.items():
+            t.grad = None if k == "unused" else r.standard_normal(t.shape)
+        for k, t in params.items():
+            g = t.grad if t.grad is not None else np.zeros_like(t.data)
+            ref_v[k] = 0.9 * ref_v[k] + g + 1e-3 * ref_p[k]
+            ref_p[k] = ref_p[k] - 0.05 * ref_v[k]
+        opt.step()
+        for k, t in params.items():
+            np.testing.assert_array_equal(t.data, ref_p[k])
+            np.testing.assert_array_equal(opt.velocity[k], ref_v[k])
 
 
 def test_sgd_zero_grad_clears():

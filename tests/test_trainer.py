@@ -12,7 +12,7 @@ from styledl.dataio import synth_generate
 from styledl.errors import ConfigurationError, FormatError, TrainingError
 from styledl.losses import pred_loss
 from styledl.model import ABLATION_PRESETS
-from styledl.tensor import Tensor, no_grad
+from styledl.tensor import SGD, Tensor, no_grad
 from styledl.training import (Checkpoint, TrainConfig, build_model, evaluate,
                            load_train_config, lr_at, predict_batch, save_train_config,
                            train)
@@ -84,7 +84,8 @@ def test_config_validation():
     for bad in (dict(lr=math.nan), dict(lr=math.inf), dict(lr_decay=math.nan),
                 dict(lr_decay=math.inf), dict(weight_decay=math.nan),
                 dict(weight_decay=math.inf), dict(weight_decay=-1e-4), dict(mu=1.5),
-                dict(lam=-1.0), dict(momentum=1.0), dict(seed=-1)):
+                dict(lam=-1.0), dict(momentum=1.0), dict(seed=-1), dict(input_size=33),
+                dict(input_size=0), dict(input_size=-32)):
         with pytest.raises(ConfigurationError):
             TrainConfig(**bad)
 
@@ -155,6 +156,27 @@ def test_training_error_carries_last_checkpoint(corpus, monkeypatch):
     ckpt = info.value.checkpoint
     assert isinstance(ckpt, Checkpoint)
     assert ckpt.epoch == 1  # epoch 2 blew up, epoch 1 survives
+
+
+def test_snapshot_is_not_changed_by_a_later_step(corpus):
+    manifest, _ = corpus
+    cfg = _fast_cfg()
+    model = build_model(cfg, manifest.n_labels)
+    params = model.parameters()
+    opt = SGD(params, lr=0.1, momentum=0.9, weight_decay=1e-2)
+    r = np.random.default_rng(3)
+    for t in params.values():
+        t.grad = r.standard_normal(t.shape)
+    opt.step()  # nonzero velocity, so the next step moves it
+    snap = train_mod._snapshot(cfg, manifest, model, opt, epoch=1)
+    kept = [{k: a.copy() for k, a in d.items()} for d in (snap.params, snap.velocity)]
+    opt.step()
+    for held, copy in zip((snap.params, snap.velocity), kept):
+        for k, a in held.items():
+            np.testing.assert_array_equal(a, copy[k])
+    for k, t in params.items():
+        assert not np.array_equal(t.data, kept[0][k])
+        assert not np.array_equal(opt.velocity[k], kept[1][k])
 
 
 def test_train_rejects_empty_manifest(corpus):
@@ -299,7 +321,8 @@ def test_checkpoint_truncations_raise_format_error(corpus, tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("config/ablation", 99.0), ("config/lr", -1.0), ("meta/epoch", 1.5),
     ("meta/n_labels", np.nan), ("meta/label_names", 255.0), ("config/mu", 1.5),
-    ("config/lam", -1.0), ("config/momentum", 1.0), ("config/seed", -1.0)])
+    ("config/lam", -1.0), ("config/momentum", 1.0), ("config/seed", -1.0),
+    ("config/input_size", 33.0)])
 def test_checkpoint_corrupt_values_raise_format_error(corpus, tmp_path, key, value):
     manifest, root = corpus
     path = tmp_path / "bad.ckpt"
