@@ -185,9 +185,9 @@ def synth_generate(seed: int, n_samples: int, n_labels: int, input_size: int,
     """Write a corpus whose color and stripe frequency encode the target
     distribution: each label contributes its own hue and spatial frequency
     weighted by its probability mass. Byte-identical for a given seed."""
-    if n_samples < 1 or n_labels < 2:
-        raise ConfigurationError(f"need n_samples >= 1 and n_labels >= 2, "
-                                 f"got {n_samples}/{n_labels}")
+    if n_samples < 1 or n_labels < 2 or input_size < 1:
+        raise ConfigurationError(f"need n_samples >= 1, n_labels >= 2 and input_size >= 1, "
+                                 f"got {n_samples}/{n_labels}/{input_size}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -230,8 +230,11 @@ def cooccurrence_adjacency(manifest: Manifest, tau: float = 0.1,
 
     Label i counts as present when p_i >= tau. Conditional co-presence
     rates are binarized at binarize_t, the diagonal is switched on, and
-    rows are normalized to sum to 1.
+    rows are normalized to sum to 1. Both thresholds must lie in [0, 1].
     """
+    for name, value in (("tau", tau), ("binarize_t", binarize_t)):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigurationError(f"{name} {value} must be in [0, 1]")
     c = manifest.n_labels
     if not manifest.records:
         warnings.warn("empty manifest: static adjacency falls back to identity")

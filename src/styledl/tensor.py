@@ -4,7 +4,11 @@ The engine is deliberately small. Values are row-major numpy arrays in
 float64. Each op builds the implicit graph by storing its parents and a
 gradient closure on the output tensor; ``backward()`` walks that DAG
 once in reverse topological order and accumulates gradients additively,
-so fan-out sums contributions exactly. Elementwise ops accept equal
+so fan-out sums contributions exactly. The walk consumes the tape: it
+fills ``.grad`` on leaves only and drops each op output's closure,
+gradient and parents as it passes, so saved forward buffers are freed
+during the backward, not when the graph is dropped, and a second
+``backward()`` over the same graph raises. Elementwise ops accept equal
 shapes or a scalar, nothing else; shape problems raise
 ``ContractViolation`` eagerly rather than relying on numpy broadcasting.
 
@@ -154,7 +158,7 @@ class Tensor:
         out = self.data.sum(axis=axis)
 
         def grad_fn_ax(g):
-            _accumulate(self, np.broadcast_to(np.expand_dims(g, axis), self.data.shape).copy())
+            _accumulate(self, np.broadcast_to(np.expand_dims(g, axis), self.data.shape))
 
         return _result(out, (self,), grad_fn_ax)
 
@@ -165,8 +169,7 @@ class Tensor:
         out = self.data.mean(axis=axis)
 
         def grad_fn(g):
-            spread = np.broadcast_to(np.expand_dims(g / n, axis), self.data.shape)
-            _accumulate(self, spread.copy())
+            _accumulate(self, np.broadcast_to(np.expand_dims(g / n, axis), self.data.shape))
 
         return _result(out, (self,), grad_fn)
 
@@ -247,7 +250,16 @@ class Tensor:
 
     # ----------------------------------------------------------- backward
     def backward(self) -> None:
-        """Populate .grad on every tracked tensor reachable from this scalar."""
+        """Fill .grad on every tracked leaf reachable from this scalar, and
+        free the tape on the way.
+
+        The walk takes each op output's gradient closure and gradient off
+        the node before running the closure, so every saved buffer (im2col
+        matrices, x_hat, masks) and every intermediate gradient is freed
+        once its last reader has run. Afterwards the op outputs hold no
+        .grad and no parents; a second backward() through them raises
+        ``ContractViolation``.
+        """
         if self.data.size != 1:
             raise ContractViolation(f"backward() needs a scalar loss, got shape {self.shape}")
         if not np.isfinite(self.data).all():
@@ -266,9 +278,21 @@ class Tensor:
                 order.append(node)
                 stack.pop()
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._grad_fn is not None and node.grad is not None:
-                node._grad_fn(node.grad)
+        while order:
+            node = order.pop()
+            fn = node._grad_fn
+            if fn is None:
+                continue
+            g = node.grad
+            node.grad = None
+            node._parents = ()
+            node._grad_fn = _spent
+            if g is not None:
+                fn(g)
+
+
+def _spent(g: np.ndarray) -> None:
+    raise ContractViolation("backward() through a graph whose tape an earlier backward() freed")
 
 
 _recording: contextvars.ContextVar[bool] = contextvars.ContextVar("styledl_recording",
@@ -295,11 +319,20 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add one gradient contribution to t.grad.
+
+    A leaf's gradient is user-visible, so it gets an owned copy. An op
+    output keeps the array it is handed, which may be a view shared with
+    another node's gradient (`add` hands the same g to both operands).
+    This is safe because no gradient closure writes into its incoming g
+    or into any .grad.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g if t._parents else np.array(g, dtype=np.float64)
     else:
+        # out of place: the stored gradient may alias another node's
         t.grad = t.grad + g
 
 

@@ -116,6 +116,24 @@ def test_cli_reports_training_error(workdir, capsys, monkeypatch):
     assert err.startswith("error: epoch 1: loss is not finite") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_gen_synth_rejects_size_below_one(tmp_path, capsys, size):
+    out = tmp_path / "corpus"
+    assert main(["gen-synth", "--n", "2", "--size", size, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "input_size" in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--tau", "2"), ("--threshold", "-1")])
+def test_build_adj_rejects_thresholds_outside_unit_interval(workdir, capsys, flag, value):
+    _, data, _ = workdir
+    assert main(["build-adj", "--manifest", str(data / "manifest.txt"), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
 @pytest.mark.parametrize("text", ['{"name": "x"}', "[1, 2]", '{"metrics": {"kl": {}}}', "{"])
 def test_rank_rejects_malformed_report(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"

@@ -157,6 +157,11 @@ def test_synth_generate_validation(tmp_path):
         synth_generate(seed=0, n_samples=0, n_labels=4, input_size=16, out_dir=tmp_path)
     with pytest.raises(ConfigurationError):
         synth_generate(seed=0, n_samples=2, n_labels=1, input_size=16, out_dir=tmp_path)
+    for size in (0, -5):
+        with pytest.raises(ConfigurationError, match="input_size"):
+            synth_generate(seed=0, n_samples=2, n_labels=4, input_size=size,
+                           out_dir=tmp_path / "never")
+    assert not (tmp_path / "never").exists()
 
 
 # ------------------------------------------------------------ adjacency
@@ -191,6 +196,22 @@ def test_adjacency_rows_stochastic_and_empty_warns():
         empty = cooccurrence_adjacency(Manifest(["a", "b"], []))
     assert any("empty" in str(w.message) for w in caught)
     np.testing.assert_array_equal(empty, np.eye(2))
+
+
+@pytest.mark.parametrize("kw", [dict(tau=float("nan")), dict(tau=2.0), dict(tau=-0.1),
+                                dict(binarize_t=float("inf")), dict(binarize_t=1.5),
+                                dict(binarize_t=float("nan"))])
+def test_adjacency_rejects_thresholds_outside_unit_interval(kw):
+    m = Manifest(label_names=["a", "b"], records=[DatasetRecord("1", np.array([0.5, 0.5]))])
+    with pytest.raises(ConfigurationError, match=next(iter(kw))):
+        cooccurrence_adjacency(m, **kw)
+
+
+def test_adjacency_accepts_threshold_endpoints():
+    m = Manifest(label_names=["a", "b"], records=[DatasetRecord("1", np.array([0.5, 0.5]))])
+    np.testing.assert_allclose(cooccurrence_adjacency(m, tau=0.0, binarize_t=1.0),
+                               [[0.5, 0.5], [0.5, 0.5]])
+    np.testing.assert_allclose(cooccurrence_adjacency(m, tau=1.0, binarize_t=1.0), np.eye(2))
 
 
 # --------------------------------------------------------------- splits

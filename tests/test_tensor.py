@@ -1,5 +1,7 @@
 """Autograd engine: finite-difference oracles for every op, API contracts,
-and the SGD update rule."""
+the SGD update rule, and the tape the backward consumes."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 import styledl.tensor as T
 from conftest import away_from_kinks, gradcheck
 from styledl.errors import ConfigurationError, ContractViolation, TrainingError
+from styledl.losses import pred_loss, total_loss
 from styledl.tensor import SGD, Tensor
+from styledl.training import TrainConfig, build_model
 
 rng = np.random.default_rng(7)
 
@@ -262,6 +266,98 @@ def test_deep_chain_no_recursion_limit():
         y = y + 1.0
     y.sum().backward()
     np.testing.assert_allclose(x.grad, np.ones(4))
+
+
+# -------------------------------------------------------- tape consumption
+def _tape(loss):
+    """Every op output reachable from loss, the loss included."""
+    nodes, stack, seen = [], [loss], {id(loss)}
+    while stack:
+        t = stack.pop()
+        if t._grad_fn is not None:
+            nodes.append(t)
+        for p in t._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return nodes
+
+
+def test_backward_frees_intermediates_while_the_loss_lives():
+    a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    mid = (a * 2.0).relu()
+    # Tensor has no __weakref__ slot; its data array is owned by it alone
+    probe = weakref.ref(mid.data)
+    loss = (mid * mid + mid).sum()
+    del mid
+    assert probe() is not None
+    loss.backward()
+    assert probe() is None and a.grad is not None
+
+
+def test_backward_fills_leaves_and_clears_intermediates():
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    h = (a @ w).sigmoid()
+    s = h.sum(axis=1)
+    loss = (s * s).mean(axis=0)
+    loss.backward()
+    assert a.grad is not None and w.grad is not None
+    assert a.grad.shape == a.shape and w.grad.shape == w.shape
+    for t in (h, s, loss):
+        assert t.grad is None and t._parents == ()
+
+
+def test_second_backward_over_a_consumed_graph_raises():
+    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    mid = a * a
+    loss = mid.sum()
+    loss.backward()
+    first = a.grad.copy()
+    with pytest.raises(ContractViolation, match="earlier backward"):
+        loss.backward()
+    with pytest.raises(ContractViolation, match="earlier backward"):
+        (mid * 2.0).sum().backward()
+    np.testing.assert_array_equal(a.grad, first)
+
+
+def test_leaf_gradients_own_their_memory():
+    a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    (a + b).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    x.sum(axis=1).sum().backward()
+    assert x.grad.flags.owndata and x.grad.flags.writeable
+
+
+def test_no_closure_writes_into_its_incoming_gradient():
+    """The full model's tape hands gradients on without copying them, which
+    is only safe if no gradient closure writes into the g it is given."""
+    cfg = TrainConfig(ablation="full", R=2, input_size=32)
+    model = build_model(cfg, n_labels=4)
+    r = np.random.default_rng(9)
+    out = model.forward(Tensor(r.random((2, 3, 32, 32))))
+    loss = total_loss(pred_loss(out.y_e, out.y_emotion, r.dirichlet(np.ones(4), size=2)),
+                      model.adversary(out))
+    changed, calls = [], []
+
+    def checked(fn):
+        def run(g):
+            before = g.copy()
+            fn(g)
+            calls.append(fn)
+            if not np.array_equal(g, before):
+                changed.append(fn.__qualname__)
+        return run
+
+    nodes = _tape(loss)
+    for node in nodes:
+        node._grad_fn = checked(node._grad_fn)
+    loss.backward()
+    assert len(calls) == len(nodes) > 100
+    assert changed == []
+    assert all(t.grad is not None for t in model.parameters().values())
 
 
 # ----------------------------------------------------------- API contracts
