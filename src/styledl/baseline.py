@@ -10,9 +10,8 @@ import warnings
 
 import numpy as np
 
-from .dataio import resize_nearest
 from .errors import ContractViolation
-from .metrics import MetricReport, evaluate_metrics
+from .tensor import resize_nearest
 
 FEATURE_SIDE = 8
 
@@ -45,10 +44,3 @@ def aaknn_predict(train_images: np.ndarray, train_targets: np.ndarray,
         nearest = np.argsort(dist, kind="stable")[:k]
         preds[i] = train_targets[nearest].mean(axis=0)
     return preds
-
-
-def aaknn_evaluate(train_images: np.ndarray, train_targets: np.ndarray,
-                   test_images: np.ndarray, test_targets: np.ndarray,
-                   k: int = 5) -> MetricReport:
-    preds = aaknn_predict(train_images, train_targets, test_images, k=k)
-    return evaluate_metrics(test_targets, preds)

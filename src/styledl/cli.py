@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .baseline import aaknn_evaluate
+from .baseline import aaknn_predict
 from .errors import TrainingError
-from .metrics import load_report, rank_table
+from .metrics import evaluate_metrics, load_report, rank_table
 from .model import ABLATION_PRESETS
 from .training import (Checkpoint, TrainConfig, evaluate, load_train_config,
                        predict_batch, train)
@@ -87,8 +87,8 @@ def _cmd_baseline_knn(args) -> int:
     size = args.size
     train_imgs = dataio.load_images(train_man, Path(args.train).parent, size)
     test_imgs = dataio.load_images(test_man, Path(args.test).parent, size)
-    report = aaknn_evaluate(train_imgs, train_man.distributions(),
-                            test_imgs, test_man.distributions(), k=args.k)
+    preds = aaknn_predict(train_imgs, train_man.distributions(), test_imgs, k=args.k)
+    report = evaluate_metrics(test_man.distributions(), preds)
     print(report.to_text())
     if args.json:
         Path(args.json).write_text(report.to_json(name=f"AA-kNN(k={args.k})"),

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, FormatError, ValidationError
-from .tensor import nearest_index
+from .tensor import resize_nearest
 
 EMOTION_NAMES_8 = ("amusement", "anger", "awe", "contentment",
                    "disgust", "excitement", "fear", "sadness")
@@ -165,13 +165,6 @@ def save_ppm(path: str | Path, img: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(bytes_hw3.tobytes())
-
-
-def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = img.shape[-2:]
-    rows = nearest_index(h, out_h)
-    cols = nearest_index(w, out_w)
-    return img[..., rows[:, None], cols[None, :]]
 
 
 # ------------------------------------------------------- synthetic corpus

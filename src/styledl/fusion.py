@@ -1,5 +1,6 @@
 """Fusing style with the stacked content encodings into label-channel
-features and pooling those into per-order distributions.
+features, and ``pooled_scores``, which pools those and the graph-enhanced
+features of ``gcn`` into distributions.
 
 Content arrives as R order blocks stacked on the batch axis, [R*B, ...]
 with row block r being order r (see ``hoa.encode_orders``); every result
@@ -23,8 +24,6 @@ class FusionHead:
 
     def __init__(self, rng: np.random.Generator, n_labels: int, content_channels: int,
                  deep_channels: int, style_channels: int | None = None):
-        self.n_labels = n_labels
-        self.style_channels = style_channels
         sc_in = content_channels + (style_channels or 0)
         s4_in = deep_channels + (style_channels or 0)
         self.conv_sc = Conv1x1(rng, sc_in, n_labels)
@@ -34,8 +33,6 @@ class FusionHead:
         """Fused features [R*B, C, D_e] with D_e = h3*w3 + h4*w4, from
         stacked content [R*B, c3, h3, w3] and deep [R*B, c4, h4, w4] and
         the [B, ...] style map, which every order block shares."""
-        if (style is None) != (self.style_channels is None):
-            raise ContractViolation("style presence does not match this head's build")
         f_sc = self._fuse(self.conv_sc, style, content)
         f_s4 = self._fuse(self.conv_s4, style, deep)
         return T.concat([_flatten_spatial(f_sc), _flatten_spatial(f_s4)], axis=2)
@@ -60,18 +57,11 @@ def _flatten_spatial(x: Tensor) -> Tensor:
 
 def pooled_scores(features: Tensor, lam: float) -> Tensor:
     """Softmax over labels of mean + lam * max along the trailing feature
-    axis of [B, C, D]."""
+    axis of [B, C, D]. `lam` is finite and >= 0, which TrainConfig checks."""
     if features.ndim != 3:
         raise ContractViolation(f"pooling expects [B,C,D], got {features.shape}")
-    if not np.isfinite(lam) or lam < 0:
-        raise ContractViolation(f"pooling coefficient {lam}")
     logits = features.mean(axis=2) + lam * features.max(axis=2)
     return logits.softmax(axis=1)
-
-
-def pooled_distribution(features: Tensor, lam: float) -> Tensor:
-    """One distribution per row of the stacked fused features: [R*B, C]."""
-    return pooled_scores(features, lam)
 
 
 def style_distribution(y_e: Tensor, orders: int) -> Tensor:

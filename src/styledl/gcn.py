@@ -3,6 +3,7 @@
 The static pass propagates fused features along a fixed co-occurrence
 adjacency. Its output regenerates a fresh adjacency per sample through a
 sigmoid projection, and the dynamic pass propagates along that.
+``fusion.pooled_scores`` pools the result into a distribution.
 """
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractViolation
-from .fusion import pooled_scores
 from .tensor import Tensor
 
 
@@ -19,10 +19,8 @@ def static_gcn(a_static: Tensor | np.ndarray, features: Tensor, w_s: Tensor) -> 
     a = a_static if isinstance(a_static, Tensor) else Tensor(a_static)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolation(f"static adjacency must be square, got {a.shape}")
-    if features.ndim != 3 or features.shape[1] != a.shape[0]:
-        raise ContractViolation(f"features {features.shape} vs adjacency {a.shape}")
-    if w_s.shape[0] != features.shape[2]:
-        raise ContractViolation(f"W_s {w_s.shape} vs feature width {features.shape[2]}")
+    if features.ndim != 3:
+        raise ContractViolation(f"static GCN expects [B,C,D] features, got {features.shape}")
     return T.matmul(T.matmul(a, features), w_s).leaky_relu(0.2)
 
 
@@ -47,14 +45,7 @@ def dynamic_gcn(a_dynamic: Tensor, f_sgcn: Tensor, w_d: Tensor) -> Tensor:
         raise ContractViolation(f"dynamic adjacency must be [B,C,C], got {a_dynamic.shape}")
     if f_sgcn.ndim != 3 or f_sgcn.shape[:2] != a_dynamic.shape[:2]:
         raise ContractViolation(f"features {f_sgcn.shape} vs adjacency {a_dynamic.shape}")
-    if w_d.shape[0] != f_sgcn.shape[2]:
-        raise ContractViolation(f"W_d {w_d.shape} vs feature width {f_sgcn.shape[2]}")
     return T.matmul(T.matmul(a_dynamic, f_sgcn), w_d).leaky_relu(0.2)
-
-
-def emotion_distribution(features: Tensor, lam: float) -> Tensor:
-    """Pool the graph-enhanced features into a per-sample distribution."""
-    return pooled_scores(features, lam)
 
 
 class StylisticGcn:
@@ -62,7 +53,6 @@ class StylisticGcn:
 
     def __init__(self, rng: np.random.Generator, n_labels: int, in_width: int,
                  hidden: int = 128, dynamic: bool = True):
-        self.n_labels = n_labels
         self.dynamic = dynamic
         self.w_s = T.he_normal(rng, (in_width, hidden), fan_in=in_width)
         if dynamic:

@@ -23,13 +23,10 @@ from .tensor import Tensor
 
 
 class HighOrderAttention:
-    """Holds r inner and r outer 1x1 convs per order r = 1..R."""
+    """Holds r inner and r outer 1x1 convs per order r = 1..R (TrainConfig.R >= 1)."""
 
     def __init__(self, rng: np.random.Generator, channels: int, orders: int = 2):
-        if orders < 1:
-            raise ContractViolation(f"order count must be >= 1, got {orders}")
         self.orders = orders
-        self.channels = channels
         self.inner: list[list[Conv1x1]] = []
         self.outer: list[list[Conv1x1]] = []
         for r in range(1, orders + 1):
@@ -37,8 +34,6 @@ class HighOrderAttention:
             self.outer.append([Conv1x1(rng, channels, channels) for _ in range(r)])
 
     def __call__(self, x2: Tensor) -> list[Tensor]:
-        if x2.ndim != 4 or x2.shape[1] != self.channels:
-            raise ContractViolation(f"attention expects [B,{self.channels},h,w], got {x2.shape}")
         atts = []
         for r_idx in range(self.orders):
             zs = [conv(x2) for conv in self.inner[r_idx]]
@@ -72,8 +67,6 @@ def encode_orders(atts: Sequence[Tensor], f3: Callable[[Tensor], Tensor],
     independently, so a block is that order's own encoding, at one GEMM
     per conv for all orders.
     """
-    if not atts:
-        raise ContractViolation("encode_orders needs at least one order")
     x3 = f3(T.concat(atts, axis=0))
     return x3, f4(x3)
 

@@ -78,9 +78,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -562,23 +559,28 @@ def nearest_index(src: int, dst: int) -> np.ndarray:
     return (np.arange(dst) * src) // dst
 
 
-def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Nearest-neighbour spatial resample of [...,H,W] in either direction.
+def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Nearest-neighbour resample of an array [...,H,W]; row i copies row floor(i * H / out_h)."""
+    if out_h < 1 or out_w < 1:
+        raise ContractViolation(f"nearest resample size {out_h}x{out_w} must be at least 1x1")
+    rows = nearest_index(img.shape[-2], out_h)
+    cols = nearest_index(img.shape[-1], out_w)
+    return img[..., rows[:, None], cols[None, :]]
 
-    Source index for output row i is floor(i * H / out_h). The gradient
-    sums the output cells that copied each source cell: a whole-factor
-    upsample sums each fh x fw block by a reshape, a whole-factor
-    downsample (which picks distinct cells) assigns into zeros, and any
-    other ratio scatter-adds with `np.add.at`.
+
+def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Nearest-neighbour spatial resample of [...,H,W] in either direction;
+    the forward is `resize_nearest`.
+
+    The gradient sums the output cells that copied each source cell: a
+    whole-factor upsample sums each fh x fw block by a reshape, a
+    whole-factor downsample (which picks distinct cells) assigns into
+    zeros, and any other ratio scatter-adds with `np.add.at`.
     """
     if x.data.ndim < 2:
         raise ContractViolation(f"resample needs spatial trailing axes, got {x.shape}")
-    if out_h < 1 or out_w < 1:
-        raise ContractViolation(f"resample target {out_h}x{out_w}")
+    out = resize_nearest(x.data, out_h, out_w)
     h, w = x.data.shape[-2:]
-    rows = nearest_index(h, out_h)
-    cols = nearest_index(w, out_w)
-    out = x.data[..., rows[:, None], cols[None, :]]
     lead_shape = x.data.shape[:-2]
     lead = int(np.prod(lead_shape)) if lead_shape else 1
 
@@ -591,7 +593,9 @@ def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
             if h % out_h == 0 and w % out_w == 0:
                 gx[:, :: h // out_h, :: w // out_w] = g3
             else:
-                np.add.at(gx, (np.arange(lead)[:, None, None], rows[None, :, None], cols[None, None, :]), g3)
+                rows = nearest_index(h, out_h)[None, :, None]
+                cols = nearest_index(w, out_w)[None, None, :]
+                np.add.at(gx, (np.arange(lead)[:, None, None], rows, cols), g3)
         _accumulate(x, gx.reshape(x.data.shape))
 
     return _result(out, (x,), grad_fn)

@@ -277,6 +277,8 @@ def _read_entries(buf: bytes, path) -> dict[str, np.ndarray]:
         pos += klen
         need(4, "rank")
         (ndim,) = struct.unpack_from("<I", buf, pos)
+        if ndim > 32:  # numpy 1.x's array rank limit
+            raise FormatError(f"{path}: entry {label} has rank {ndim}, above 32 (offset {pos})")
         pos += 4
         need(4 * ndim, "shape")
         shape = struct.unpack_from(f"<{ndim}I", buf, pos)
@@ -331,7 +333,6 @@ def train(cfg: TrainConfig, manifest: Manifest, root: str | Path,
     opt = SGD(params, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     data_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     n = len(manifest.records)
-    use_adversary = model.adv_head3 is not None
     logs: list[EpochLog] = []
     last_good = _snapshot(cfg, manifest, model, opt, epoch=0)
     for epoch in range(1, cfg.epochs + 1):
@@ -349,12 +350,8 @@ def train(cfg: TrainConfig, manifest: Manifest, root: str | Path,
             try:
                 out = model.forward(Tensor(batch))
                 l_pred = pred_loss(out.y_e, out.y_emotion, targets[idx])
-                if use_adversary:
-                    l_adv = model.adversary(out)
-                    loss = total_loss(l_pred, l_adv)
-                else:
-                    l_adv = Tensor(0.0)
-                    loss = l_pred
+                l_adv = model.adversary(out)
+                loss = total_loss(l_pred, l_adv)
                 opt.zero_grad()
                 loss.backward()
                 opt.step()

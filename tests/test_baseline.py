@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from styledl.baseline import aaknn_evaluate, aaknn_predict, knn_features
+from styledl.baseline import aaknn_predict, knn_features
 from styledl.errors import ContractViolation
 
 rng = np.random.default_rng(71)
@@ -69,11 +69,3 @@ def test_validation():
         aaknn_predict(np.zeros((0, 3, 8, 8)), np.zeros((0, 2)), _images(1), k=1)
     with pytest.raises(ContractViolation):
         knn_features(np.zeros((3, 8, 8)))
-
-
-def test_evaluate_wrapper_reports():
-    imgs = _images(6, seed=5)
-    targets = np.random.default_rng(6).dirichlet(np.ones(4), size=6)
-    report = aaknn_evaluate(imgs[:4], targets[:4], imgs[4:], targets[4:], k=3)
-    assert report.n == 2
-    assert np.isfinite(report.mean["kl"])

@@ -141,3 +141,15 @@ def test_rank_rejects_malformed_report(tmp_path, capsys, text):
     assert main(["rank", "--reports", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_baseline_knn_rejects_size_below_one(workdir, capsys, size):
+    _, data, _ = workdir
+    manifest = str(data / "manifest.txt")
+    assert main(["baseline-knn", "--train", manifest, "--test", manifest,
+                 "--size", size]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"{size}x{size}" in captured.err, captured.err
+    assert captured.err.count("\n") == 1, captured.err

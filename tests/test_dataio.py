@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from styledl import tensor as T
 from styledl.dataio import (DatasetRecord, Manifest, cooccurrence_adjacency,
-                            load_images, load_manifest, load_ppm, resize_nearest,
+                            load_images, load_manifest, load_ppm,
                             save_manifest, save_ppm, split_dataset, synth_generate)
 from styledl.errors import ConfigurationError, FormatError, ValidationError
+from styledl.tensor import resize_nearest
 
 
 def _write(tmp_path, text, name="m.txt"):

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import gradcheck
 from styledl.errors import ContractViolation
-from styledl.gcn import (StylisticGcn, dynamic_adjacency, dynamic_gcn,
-                         emotion_distribution, static_gcn)
+from styledl.gcn import StylisticGcn, dynamic_adjacency, dynamic_gcn, static_gcn
 from styledl.tensor import Tensor
 
 rng = np.random.default_rng(41)
@@ -66,13 +65,6 @@ def test_dynamic_gcn_shapes_and_validation():
         dynamic_gcn(Tensor(rng.random((2, 3, 2))), f, w)
     with pytest.raises(ContractViolation):
         dynamic_gcn(a, f, Tensor(np.zeros((2, 4))))
-
-
-def test_emotion_distribution_is_simplex():
-    f = Tensor(rng.standard_normal((3, 5, 7)))
-    y = emotion_distribution(f, lam=0.8).data
-    assert (y >= 0).all()
-    np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_module_static_only_vs_dynamic():
