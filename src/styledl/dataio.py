@@ -127,7 +127,8 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 def load_ppm(path: str | Path, size: int | None = None) -> np.ndarray:
     """Read a binary P6 image into floats [3,H,W] in [0,1], optionally
-    nearest-resized to size x size."""
+    nearest-resized to size x size; an image already that size is not
+    resampled."""
     buf = Path(path).read_bytes()
     magic, pos = _next_token(buf, 0)
     if magic != b"P6":
@@ -150,8 +151,8 @@ def load_ppm(path: str | Path, size: int | None = None) -> np.ndarray:
     if len(payload) < needed:
         raise FormatError(f"{path}: truncated payload ({len(payload)} of {needed} bytes)")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    img = pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
-    if size is not None:
+    img = pixels.transpose(2, 0, 1).astype(np.float64, order="C") / 255.0
+    if size is not None and (height, width) != (size, size):
         img = resize_nearest(img, size, size)
     return img
 

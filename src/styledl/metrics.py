@@ -89,12 +89,15 @@ def load_report(path: str | Path) -> tuple[str, dict[str, float]]:
 
 
 def evaluate_metrics(targets, preds, normalize: bool = True) -> MetricReport:
-    """Compute all six metrics per sample and their means."""
+    """Compute all six metrics per sample and their means; zero rows raise
+    ValidationError."""
     t = _as_rows(targets)
     p = _as_rows(preds)
     if t.shape != p.shape:
         raise ContractViolation(f"target/prediction shapes differ: {t.shape} vs {p.shape}")
     n, c = t.shape
+    if n == 0:
+        raise ValidationError("no samples to evaluate: the metrics of zero rows are undefined")
     diff = p - t
     denom = p + t
     with np.errstate(divide="ignore", invalid="ignore"):

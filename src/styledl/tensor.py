@@ -19,6 +19,15 @@ keep ``requires_grad`` and the mode ends with the block, so a model
 trains as before once it is left. ``training.predict_batch`` (and with it
 ``evaluate`` and ``styledl predict``) runs its forwards this way; wrap any
 other forward whose gradient is not needed in ``no_grad()`` too.
+
+Inside ``with skip_init():`` ``he_normal`` still checks ``fan_in`` but
+returns an uninitialized (``np.empty``) parameter of the requested shape
+and draws nothing, so the generator does not advance. It is built the
+same way as ``no_grad()``: blocks may nest and the mode ends with the
+block. It is meant for a model whose every parameter is overwritten
+before anything reads it: ``Checkpoint.build_model`` builds the network
+this way and then copies each array from the checkpoint, so rebuilding a
+saved model costs the file read and one copy per array, not a full init.
 """
 from __future__ import annotations
 
@@ -304,6 +313,21 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _recording.reset(token)
+
+
+_drawing_init: contextvars.ContextVar[bool] = contextvars.ContextVar("styledl_drawing_init",
+                                                                    default=True)
+
+
+@contextlib.contextmanager
+def skip_init() -> Iterator[None]:
+    """Leave the weights that ``he_normal`` makes inside the block
+    uninitialized; nesting is allowed."""
+    token = _drawing_init.set(False)
+    try:
+        yield
+    finally:
+        _drawing_init.reset(token)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
@@ -663,9 +687,12 @@ def grad_reverse(x: Tensor) -> Tensor:
 
 # ----------------------------------------------------- parameters and SGD
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    """Kaiming-style fan-in init, the default for every weight here."""
+    """Kaiming-style fan-in init, the default for every weight here;
+    uninitialized, with nothing drawn from `rng`, inside ``skip_init()``."""
     if fan_in < 1:
         raise ConfigurationError(f"fan_in {fan_in}")
+    if not _drawing_init.get():
+        return Tensor(np.empty(shape), requires_grad=True)
     scale = np.sqrt(2.0 / fan_in)
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
 

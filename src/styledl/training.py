@@ -22,7 +22,7 @@ from .errors import ConfigurationError, ContractViolation, FormatError, Training
 from .losses import pred_loss, total_loss
 from .metrics import MetricReport, evaluate_metrics
 from .model import ABLATION_PRESETS, EmotionDistributionNet
-from .tensor import SGD, Tensor, no_grad
+from .tensor import SGD, Tensor, no_grad, skip_init
 
 CHECKPOINT_MAGIC = b"SEDL1"
 
@@ -168,8 +168,9 @@ class Checkpoint:
 
     @staticmethod
     def load(path: str | Path) -> "Checkpoint":
-        """Read a checkpoint file. A truncated or corrupt file raises
-        FormatError naming the path, the entry and the byte offset."""
+        """Read a checkpoint file. A truncated or corrupt file, or one
+        holding a NaN or infinity, raises FormatError naming the path, the
+        entry and the byte offset."""
         buf = Path(path).read_bytes()
         if buf[:5] != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic {buf[:5]!r}")
@@ -239,7 +240,10 @@ class Checkpoint:
         )
 
     def build_model(self) -> EmotionDistributionNet:
-        model = build_model(self.config, self.n_labels)
+        """The saved network, built without drawing an init: every weight
+        starts uninitialized and is then replaced by a copy of its array."""
+        with skip_init():
+            model = build_model(self.config, self.n_labels)
         model.set_static_adjacency(self.adjacency)
         target = model.parameters()
         if set(target) != set(self.params):
@@ -253,7 +257,7 @@ class Checkpoint:
 
 def _read_entries(buf: bytes, path) -> dict[str, np.ndarray]:
     """Decode every record after the magic, checking each read against the
-    size of the file."""
+    size of the file and each value for being finite."""
     entries: dict[str, np.ndarray] = {}
     pos, end = len(CHECKPOINT_MAGIC), len(buf)
     label = "#0"
@@ -285,7 +289,12 @@ def _read_entries(buf: bytes, path) -> dict[str, np.ndarray]:
         pos += 4 * ndim
         count = math.prod(shape)
         need(8 * count, "payload")
-        entries[key] = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
+        arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
+        finite = np.isfinite(arr)
+        if not finite.all():
+            first = pos + 8 * int(np.argmin(finite.reshape(-1)))
+            raise FormatError(f"{path}: entry {label} holds a non-finite value (offset {first})")
+        entries[key] = arr
         pos += 8 * count
     return entries
 

@@ -153,3 +153,25 @@ def test_baseline_knn_rejects_size_below_one(workdir, capsys, size):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f"{size}x{size}" in captured.err, captured.err
     assert captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "baseline-knn"])
+def test_empty_test_manifest_fails_without_a_report(workdir, tmp_path, capsys, command):
+    _, data, cfg = workdir
+    empty = tmp_path / "empty.txt"
+    empty.write_text("#labels: a,b,c,d\n")
+    report = tmp_path / "report.json"
+    if command == "evaluate":
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(cfg), "--manifest", str(data / "manifest.txt"),
+                     "--out", str(ckpt)]) == 0
+        args = ["evaluate", "--checkpoint", str(ckpt), "--manifest", str(empty)]
+    else:
+        args = ["baseline-knn", "--train", str(data / "manifest.txt"), "--test", str(empty),
+                "--size", "32"]
+    capsys.readouterr()
+    assert main(args + ["--json", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no samples") and captured.err.count("\n") == 1
+    assert not report.exists()

@@ -89,6 +89,17 @@ def test_ppm_round_trip(tmp_path):
     np.testing.assert_allclose(back, img, atol=1e-12)
 
 
+@pytest.mark.parametrize("h, w", [(6, 6), (4, 7)])
+def test_ppm_load_at_size_matches_resize(tmp_path, h, w):
+    # an image already at the requested size skips the resample, bit-identically
+    img = np.random.default_rng(h * w).random((3, h, w))
+    p = tmp_path / "img.ppm"
+    save_ppm(p, img)
+    raw = load_ppm(p)
+    for size in (6, 3, 9):
+        np.testing.assert_array_equal(load_ppm(p, size=size), resize_nearest(raw, size, size))
+
+
 def test_ppm_comment_tolerant_header(tmp_path):
     p = tmp_path / "c.ppm"
     payload = bytes(range(12))

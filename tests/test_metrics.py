@@ -97,6 +97,11 @@ def test_shape_mismatch_rejected():
         evaluate_metrics(np.ones((2, 3)) / 3, np.ones((2, 4)) / 4)
 
 
+def test_zero_rows_rejected():
+    with pytest.raises(ValidationError, match="no samples"):
+        evaluate_metrics(np.zeros((0, 4)), np.zeros((0, 4)))
+
+
 def test_report_serialization_round_trip():
     rng = np.random.default_rng(5)
     t = rng.dirichlet(np.ones(4), size=3)

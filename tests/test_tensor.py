@@ -501,6 +501,38 @@ def test_no_grad_restored_after_exception_and_nesting():
     np.testing.assert_allclose(w.grad, 2 * w.data)
 
 
+# -------------------------------------------------------------- skip_init
+def _draws_from(rng) -> bool:
+    state = rng.bit_generator.state
+    T.he_normal(rng, (3,), fan_in=3)
+    return rng.bit_generator.state != state
+
+
+def test_he_normal_in_skip_init_draws_nothing():
+    r = np.random.default_rng(0)
+    state = r.bit_generator.state
+    with T.skip_init():
+        w = T.he_normal(r, (4, 3, 3, 3), fan_in=27)
+        with pytest.raises(ConfigurationError):
+            T.he_normal(r, (2, 2), fan_in=0)
+    assert r.bit_generator.state == state
+    assert w.shape == (4, 3, 3, 3) and w.data.dtype == np.float64 and w.requires_grad
+    assert w.grad is None and w._grad_fn is None
+
+
+def test_skip_init_restored_after_exception_and_nesting():
+    r = np.random.default_rng(1)
+    with pytest.raises(ContractViolation):
+        with T.skip_init():
+            Tensor(np.ones(2)) + Tensor(np.ones(3))
+    assert _draws_from(r)
+    with T.skip_init():
+        with T.skip_init():
+            assert not _draws_from(r)
+        assert not _draws_from(r)
+    assert _draws_from(r)
+
+
 # ------------------------------------------------------------------- SGD
 def test_sgd_zero_lr_is_noop():
     p = Tensor(rng.standard_normal((3, 3)), requires_grad=True)

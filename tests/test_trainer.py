@@ -2,17 +2,19 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+import styledl.model as model_mod
 import styledl.training as train_mod
 from styledl.cli import main
 from styledl.dataio import synth_generate
 from styledl.errors import ConfigurationError, FormatError, TrainingError
-from styledl.losses import pred_loss
+from styledl.losses import pred_loss, total_loss
 from styledl.model import ABLATION_PRESETS
-from styledl.tensor import SGD, Tensor, no_grad
+from styledl.tensor import SGD, Tensor, no_grad, skip_init
 from styledl.training import (Checkpoint, TrainConfig, build_model, evaluate,
                            load_train_config, lr_at, predict_batch, save_train_config,
                            train)
@@ -335,6 +337,26 @@ def test_checkpoint_corrupt_values_raise_format_error(corpus, tmp_path, key, val
         Checkpoint.load(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_value_is_a_format_error(corpus, tmp_path, capsys, value):
+    manifest, root = corpus
+    path = tmp_path / "nonfinite.ckpt"
+    train(_fast_cfg(epochs=1, ablation="full"), manifest, root, out_path=path)
+    key = "param/backbone/stage0/down/w"
+    buf = bytearray(path.read_bytes())
+    at = buf.index(key.encode()) + len(key) + 4 + 4 * 4 + 8 * 5  # rank, 4 extents, 6th value
+    buf[at:at + 8] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(buf))
+    message = f"{path}: entry '{key}' holds a non-finite value (offset {at})"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        Checkpoint.load(path)
+    image = str(root / manifest.records[0].image_path)
+    assert main(["predict", "--checkpoint", str(path), "--image", image]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_evaluate_label_mismatch(corpus, tmp_path):
     manifest, root = corpus
     ckpt, _ = train(_fast_cfg(epochs=1), manifest, root)
@@ -357,6 +379,98 @@ def test_build_model_respects_config():
     cfg = TrainConfig(R=3, ablation="full", input_size=32)
     model = build_model(cfg, n_labels=5)
     assert model.effective_orders == 3 and model.n_labels == 5
+
+
+# ------------------------------------------------ rebuilding a checkpoint
+class _CountingRng:
+    """A generator that counts its `normal` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.normal_calls = 0
+
+    def normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.fixture
+def init_rngs(monkeypatch):
+    """Every generator the model makes while the test runs, counting its draws."""
+    made = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(_CountingRng(real(*args, **kwargs)))
+        return made[-1]
+
+    monkeypatch.setattr(model_mod.np.random, "default_rng", counting)
+    return made
+
+
+def _stepped_checkpoint(cfg):
+    """A 4-label model after one SGD step, so no weight equals its init,
+    and its checkpoint; the static adjacency is not the identity."""
+    rng = np.random.default_rng(8)
+    x = rng.random((3, 3, cfg.input_size, cfg.input_size))
+    targets = rng.dirichlet(np.ones(4), size=3)
+    adjacency = rng.dirichlet(np.ones(4), size=4)
+    model = build_model(cfg, 4)
+    model.set_static_adjacency(adjacency)
+    opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
+    out = model.forward(Tensor(x))
+    total_loss(pred_loss(out.y_e, out.y_emotion, targets), model.adversary(out)).backward()
+    opt.step()
+    ckpt = Checkpoint(config=cfg, n_labels=4, label_names=list("abcd"), epoch=1,
+                      params={k: t.data.copy() for k, t in model.parameters().items()},
+                      velocity={k: v.copy() for k, v in opt.velocity.items()},
+                      adjacency=adjacency)
+    return model, ckpt, x
+
+
+@pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
+def test_rebuilt_model_draws_no_init_and_predicts_like_the_trained_one(preset, tmp_path,
+                                                                       init_rngs):
+    cfg = _fast_cfg(ablation=preset)
+    model, ckpt, x = _stepped_checkpoint(cfg)
+    assert sum(r.normal_calls for r in init_rngs) > 0  # the guard sees the init draws
+    path = tmp_path / f"{preset}.ckpt"
+    ckpt.save(path)
+    loaded = Checkpoint.load(path)
+    known = len(init_rngs)
+    rebuilt = loaded.build_model()
+    assert len(init_rngs) == known + 1 and init_rngs[-1].normal_calls == 0
+    np.testing.assert_array_equal(predict_batch(rebuilt, x), predict_batch(model, x))
+
+
+def test_rebuilt_models_own_their_parameters():
+    _, ckpt, _ = _stepped_checkpoint(_fast_cfg(ablation="full"))
+    first = ckpt.build_model().parameters()
+    second = ckpt.build_model().parameters()
+    assert set(first) == set(second) == set(ckpt.params)
+    for key, arr in ckpt.params.items():
+        np.testing.assert_array_equal(first[key].data, arr)
+        assert not np.shares_memory(first[key].data, second[key].data)
+        assert not np.shares_memory(first[key].data, arr)
+        assert not np.shares_memory(second[key].data, arr)
+
+
+def test_build_model_draws_the_same_init_after_skip_init():
+    cfg = _fast_cfg(ablation="full")
+    before = {k: t.data.copy() for k, t in build_model(cfg, 4).parameters().items()}
+    with pytest.raises(FormatError):
+        with skip_init():
+            build_model(cfg, 4)
+            raise FormatError("leaving the block by an exception")
+    Checkpoint(config=cfg, n_labels=4, label_names=list("abcd"), epoch=0, params=before,
+               velocity=before, adjacency=np.eye(4)).build_model()
+    after = build_model(cfg, 4).parameters()
+    assert set(after) == set(before)
+    for key, arr in before.items():
+        np.testing.assert_array_equal(after[key].data, arr)
 
 
 # ----------------------------------------------------------- inference
