@@ -12,9 +12,8 @@ import statistics
 import tempfile
 import time
 
-from styledl.dataio import load_images, split_dataset, synth_generate
-from styledl.metrics import evaluate_metrics
-from styledl.training import TrainConfig, predict_batch, train
+from styledl.dataio import split_dataset, synth_generate
+from styledl.training import TrainConfig, evaluate, train
 
 
 def main() -> None:
@@ -36,8 +35,6 @@ def main() -> None:
                               n_labels=args.labels, input_size=args.size,
                               out_dir=root)
     train_m, test_m = split_dataset(manifest, args.split, seed=args.corpus_seed)
-    test_images = load_images(test_m, root, args.size)
-    test_targets = test_m.distributions()
     print(f"corpus {args.n} samples, {len(train_m.records)} train / "
           f"{len(test_m.records)} test, dir {root}\n")
 
@@ -50,8 +47,7 @@ def main() -> None:
                                       input_size=args.size)
             start = time.time()
             checkpoint, logs = train(cfg, train_m, root)
-            preds = predict_batch(checkpoint.build_model(), test_images)
-            kl = evaluate_metrics(test_targets, preds).mean["kl"]
+            kl = evaluate(checkpoint, test_m, root).mean["kl"]
             kls.append(kl)
             print(f"  {preset:16s} seed {seed}  test KL {kl:.4f}  "
                   f"train pred {logs[-1].pred_loss:.4f}  "

@@ -10,9 +10,8 @@ import pathlib
 import tempfile
 import time
 
-from styledl.dataio import load_images, synth_generate
-from styledl.metrics import evaluate_metrics
-from styledl.training import TrainConfig, predict_batch, train
+from styledl.dataio import synth_generate
+from styledl.training import TrainConfig, evaluate, train
 
 
 def main() -> None:
@@ -42,9 +41,7 @@ def main() -> None:
         if log.epoch % 25 == 0 or log.epoch == 1:
             print(log.line())
 
-    images = load_images(manifest, root, args.size)
-    preds = predict_batch(checkpoint.build_model(), images)
-    report = evaluate_metrics(manifest.distributions(), preds)
+    report = evaluate(checkpoint, manifest, root)
     print(f"\ncorpus dir      {root}")
     print(f"elapsed         {elapsed:.1f}s")
     print(f"final pred loss {logs[-1].pred_loss:.6f}")

@@ -1,14 +1,13 @@
 """Five-stage strided CNN exposing the tap points the rest of the model reads.
 
-Stages 0..2 feed the style path, stage handles 3 and 4 are applied later,
-once per attention order. Each stage runs a stride-2 conv block followed
-by a stride-1 conv block, so the spatial extent halves exactly once per
-stage and an input of size s yields taps of sizes s/2, s/4, s/8.
+`taps` returns the outputs of stages 0..2, the style taps; the model runs
+`stages[3]` and `stages[4]` later, on all attention orders at once. Each
+stage is a stride-2 conv block then a stride-1 one, so the extent halves
+once per stage and an input of size s yields taps of sizes s/2, s/4, s/8.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,17 +39,6 @@ class Stage:
         return out
 
 
-@dataclass
-class FeatureTaps:
-    """Style taps plus the two deferred content stages."""
-
-    x0: Tensor
-    x1: Tensor
-    x2: Tensor
-    f3: Callable[[Tensor], Tensor]
-    f4: Callable[[Tensor], Tensor]
-
-
 class Backbone:
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
         _validate_config(cfg)
@@ -58,16 +46,14 @@ class Backbone:
         chans = (cfg.in_channels,) + tuple(cfg.stage_channels)
         self.stages = [Stage(rng, chans[i], chans[i + 1]) for i in range(5)]
 
-    def taps(self, images: Tensor) -> FeatureTaps:
-        if images.ndim != 4 or images.shape[1] != self.cfg.in_channels:
-            raise ContractViolation(f"backbone expects [B,{self.cfg.in_channels},H,W], got {images.shape}")
+    def taps(self, images: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """The outputs (x0, x1, x2) of stages 0..2 for [B,C,s,s] images."""
         s = self.cfg.input_size
-        if images.shape[2] != s or images.shape[3] != s:
-            raise ContractViolation(f"backbone expects {s}x{s} input, got {images.shape[2]}x{images.shape[3]}")
+        if images.shape[-2:] != (s, s):
+            raise ContractViolation(f"backbone expects {s}x{s} input, got {images.shape}")
         x0 = self.stages[0](images)
         x1 = self.stages[1](x0)
-        x2 = self.stages[2](x1)
-        return FeatureTaps(x0=x0, x1=x1, x2=x2, f3=self.stages[3], f4=self.stages[4])
+        return x0, x1, self.stages[2](x1)
 
     def tap_spatial(self, k: int) -> int:
         """Spatial side of tap k (0-based stage index)."""

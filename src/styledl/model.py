@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import tensor as T
 from .backbone import Backbone, BackboneConfig
 from .errors import ConfigurationError, ContractViolation
 from .fusion import FusionHead, style_distribution
@@ -95,8 +94,7 @@ class EmotionDistributionNet:
         flags = self.flags
         self.style_module: InterLayerCorrelation | None = None
         if flags.style:
-            # the three Gram maps stack as 3 channels; without them the raw
-            # taps are resampled to the widest tap's extent and stacked
+            # each Gram map stacks as 1 channel, each raw tap as its own channels
             stack_channels = 3 if flags.gram_intra else c0 + c1 + c2
             self.style_module = InterLayerCorrelation(rng, stack_channels, STYLE_WIDTHS)
 
@@ -127,26 +125,21 @@ class EmotionDistributionNet:
     def set_static_adjacency(self, adjacency: np.ndarray) -> None:
         if adjacency.shape != (self.n_labels, self.n_labels):
             raise ContractViolation(f"adjacency {adjacency.shape} for {self.n_labels} labels")
-        self.static_adjacency = np.asarray(adjacency, dtype=np.float64)
+        self.static_adjacency = np.array(adjacency, dtype=np.float64)
 
     def forward(self, images: Tensor | np.ndarray) -> ForwardOutput:
         x = images if isinstance(images, Tensor) else Tensor(images)
         taps = self.backbone.taps(x)
 
-        atts = self.attention(taps.x2) if self.attention else [taps.x2]
-        x3, x4 = encode_orders(atts, taps.f3, taps.f4)
+        atts = self.attention(taps[2]) if self.attention else [taps[2]]
+        x3, x4 = encode_orders(atts, self.backbone.stages[3], self.backbone.stages[4])
         content = fpn_fuse(x3, x4, self.lateral) if self.lateral else x3
 
         style = None
         if self.style_module:
             if self.flags.gram_intra:
-                grams = [gram(t, self.cfg.gram_normalize) for t in (taps.x0, taps.x1, taps.x2)]
-                stacked = stack_grams(*grams)
-            else:
-                side = self.backbone.tap_spatial(0)
-                lifted = [T.resample_nearest(t, side, side) for t in (taps.x0, taps.x1, taps.x2)]
-                stacked = T.concat(lifted, axis=1)
-            style = self.style_module(stacked)
+                taps = [gram(t, self.cfg.gram_normalize) for t in taps]
+            style = self.style_module(stack_grams(*taps))
 
         orders = self.effective_orders
         fe = self.fusion(style, content, x4)

@@ -2,15 +2,16 @@
 
 Per backbone tap, the channel-by-channel inner products of the flattened
 maps give a symmetric PSD matrix that ignores spatial layout. The three
-matrices are nearest-upsampled to a common side, stacked as channels, and
-pushed through two strided conv blocks to produce the style representation.
+matrices (the raw taps, in the `inter_only` ablation) are nearest-upsampled
+to a common side, stacked as channels, and pushed through two strided conv
+blocks to produce the style representation.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .layers import ConvBlock
 from .tensor import Tensor
 
@@ -31,17 +32,17 @@ def gram(x: Tensor, normalize: bool = False) -> Tensor:
     return g
 
 
-def stack_grams(g0: Tensor, g1: Tensor, g2: Tensor) -> Tensor:
-    """Upsample each [B,c,c] matrix to the max side S and stack -> [B,3,S,S]."""
-    parts = (g0, g1, g2)
-    for g in parts:
-        if g.ndim != 3 or g.shape[1] != g.shape[2]:
-            raise ContractViolation(f"stack_grams expects batched square matrices, got {g.shape}")
-    side = max(g.shape[1] for g in parts)
+def stack_grams(*maps: Tensor) -> Tensor:
+    """Upsample square maps to the widest side S and stack them on channels:
+    a [B,c,c] Gram becomes 1 channel, a [B,C,s,s] tap C channels."""
+    for m in maps:
+        if m.ndim not in (3, 4) or m.shape[-1] != m.shape[-2]:
+            raise ContractViolation(f"stack_grams expects batched square maps, got {m.shape}")
+    side = max(m.shape[-1] for m in maps)
     lifted = []
-    for g in parts:
-        up = T.upsample_nearest(g, side, side)
-        lifted.append(up.reshape(up.shape[0], 1, side, side))
+    for m in maps:
+        up = T.upsample_nearest(m, side, side)
+        lifted.append(up if up.ndim == 4 else up.reshape(up.shape[0], 1, side, side))
     return T.concat(lifted, axis=1)
 
 
@@ -55,11 +56,6 @@ class InterLayerCorrelation:
         self.out_channels = widths[1]
 
     def __call__(self, stack: Tensor) -> Tensor:
-        if stack.ndim != 4:
-            raise ContractViolation(f"inter-layer input must be [B,3,S,S], got {stack.shape}")
-        side = stack.shape[-1]
-        if side % 4 != 0:
-            raise ConfigurationError(f"stack side {side} not divisible by 4")
         return self.block2(self.block1(stack))
 
     def params(self, prefix: str = "style") -> dict[str, Tensor]:

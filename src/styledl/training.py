@@ -204,7 +204,10 @@ class Checkpoint:
             elif field.type == "int":
                 cfg_values[field.name] = integer(key)
             elif field.type == "bool":
-                cfg_values[field.name] = bool(integer(key))
+                flag = scalar(key)
+                if flag not in (0.0, 1.0):
+                    raise FormatError(f"{path}: entry {key!r} holds {flag}, not 0 or 1")
+                cfg_values[field.name] = flag == 1.0
             else:
                 cfg_values[field.name] = scalar(key)
         try:
@@ -256,8 +259,9 @@ class Checkpoint:
 
 
 def _read_entries(buf: bytes, path) -> dict[str, np.ndarray]:
-    """Decode every record after the magic, checking each read against the
-    size of the file and each value for being finite."""
+    """Decode every record after the magic as a read-only view of `buf`,
+    checking each read against the size of the file and each value for
+    being finite."""
     entries: dict[str, np.ndarray] = {}
     pos, end = len(CHECKPOINT_MAGIC), len(buf)
     label = "#0"
@@ -289,7 +293,7 @@ def _read_entries(buf: bytes, path) -> dict[str, np.ndarray]:
         pos += 4 * ndim
         count = math.prod(shape)
         need(8 * count, "payload")
-        arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
+        arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape)
         finite = np.isfinite(arr)
         if not finite.all():
             first = pos + 8 * int(np.argmin(finite.reshape(-1)))

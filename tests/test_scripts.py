@@ -1,0 +1,37 @@
+"""Smoke runs of the two sanity scripts in `scripts/` at a tiny size."""
+import importlib.util
+import math
+import re
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(monkeypatch, name, argv):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    module.main()
+
+
+def test_run_overfit(monkeypatch, capsys, tmp_path):
+    _run(monkeypatch, "run_overfit",
+         ["--n", "4", "--size", "32", "--epochs", "1", "--workdir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert re.search(r"^epoch +1 ", out, flags=re.MULTILINE)
+    (kl,) = re.findall(r"mean train KL\s+(\S+)", out)
+    assert math.isfinite(float(kl)) and float(kl) >= 0
+
+
+def test_run_ablation(monkeypatch, capsys, tmp_path):
+    _run(monkeypatch, "run_ablation",
+         ["--presets", "B", "full", "--seeds", "0", "--n", "10", "--split", "0.5",
+          "--size", "32", "--epochs", "1", "--workdir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert "5 train / 5 test" in out
+    rows = dict(re.findall(r"^(B|full)\s+(\S+)$", out, flags=re.MULTILINE))
+    assert set(rows) == {"B", "full"}
+    assert all(math.isfinite(float(kl)) and float(kl) >= 0 for kl in rows.values())
+

@@ -324,7 +324,8 @@ def test_checkpoint_truncations_raise_format_error(corpus, tmp_path, capsys):
     ("config/ablation", 99.0), ("config/lr", -1.0), ("meta/epoch", 1.5),
     ("meta/n_labels", np.nan), ("meta/label_names", 255.0), ("config/mu", 1.5),
     ("config/lam", -1.0), ("config/momentum", 1.0), ("config/seed", -1.0),
-    ("config/input_size", 33.0)])
+    ("config/input_size", 33.0), ("config/flip", 2.0), ("config/flip", -7.0),
+    ("config/gram_normalize", 0.5)])
 def test_checkpoint_corrupt_values_raise_format_error(corpus, tmp_path, key, value):
     manifest, root = corpus
     path = tmp_path / "bad.ckpt"
@@ -335,6 +336,20 @@ def test_checkpoint_corrupt_values_raise_format_error(corpus, tmp_path, key, val
     path.write_bytes(bytes(buf))
     with pytest.raises(FormatError, match=key.split("/")[-1]):
         Checkpoint.load(path)
+
+
+def test_loaded_records_are_read_only_and_the_rebuilt_model_owns_its_params(corpus, tmp_path):
+    manifest, root = corpus
+    path = tmp_path / "views.ckpt"
+    train(_fast_cfg(epochs=1, ablation="full"), manifest, root, out_path=path)
+    ckpt = Checkpoint.load(path)
+    for arr in [*ckpt.params.values(), *ckpt.velocity.values(), ckpt.adjacency]:
+        assert not arr.flags.writeable
+    model = ckpt.build_model()
+    assert model.static_adjacency.flags.owndata
+    for key, t in model.parameters().items():
+        assert t.data.flags.owndata and t.data.flags.writeable, key
+        np.testing.assert_array_equal(t.data, ckpt.params[key])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
