@@ -125,10 +125,8 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def load_ppm(path: str | Path, size: int | None = None) -> np.ndarray:
-    """Read a binary P6 image into floats [3,H,W] in [0,1], optionally
-    nearest-resized to size x size; an image already that size is not
-    resampled."""
+def _ppm_pixels(path: str | Path) -> np.ndarray:
+    """Parse a binary P6 file into a read-only uint8 view [H,W,3] of its bytes."""
     buf = Path(path).read_bytes()
     magic, pos = _next_token(buf, 0)
     if magic != b"P6":
@@ -150,9 +148,16 @@ def load_ppm(path: str | Path, size: int | None = None) -> np.ndarray:
     payload = buf[pos:pos + needed]
     if len(payload) < needed:
         raise FormatError(f"{path}: truncated payload ({len(payload)} of {needed} bytes)")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+
+
+def load_ppm(path: str | Path, size: int | None = None) -> np.ndarray:
+    """Read a binary P6 image into floats [3,H,W] in [0,1], optionally
+    nearest-resized to size x size; an image already that size is not
+    resampled."""
+    pixels = _ppm_pixels(path)
     img = pixels.transpose(2, 0, 1).astype(np.float64, order="C") / 255.0
-    if size is not None and (height, width) != (size, size):
+    if size is not None and pixels.shape[:2] != (size, size):
         img = resize_nearest(img, size, size)
     return img
 
@@ -210,11 +215,21 @@ def synth_generate(seed: int, n_samples: int, n_labels: int, input_size: int,
 
 
 def load_images(manifest: Manifest, root: str | Path, size: int) -> np.ndarray:
-    """Stack every record's image into [N,3,size,size]."""
+    """Decode every record's image straight into its slot of one
+    [N,3,size,size] array. The bytes are resampled before they are
+    scaled, which gives the bits of `load_ppm` at the same size."""
     root = Path(root)
     if not manifest.records:
         return np.zeros((0, 3, size, size))
-    return np.stack([load_ppm(root / r.image_path, size=size) for r in manifest.records])
+    images = None
+    for slot, record in enumerate(manifest.records):
+        pixels = _ppm_pixels(root / record.image_path).transpose(2, 0, 1)
+        if pixels.shape[1:] != (size, size):
+            pixels = resize_nearest(pixels, size, size)
+        if images is None:  # after the first resample has checked `size`
+            images = np.empty((len(manifest.records), 3, size, size))
+        np.divide(pixels, 255.0, out=images[slot])
+    return images
 
 
 # ------------------------------------------------- adjacency and splits

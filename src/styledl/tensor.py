@@ -12,6 +12,13 @@ during the backward, not when the graph is dropped, and a second
 shapes or a scalar, nothing else; shape problems raise
 ``ContractViolation`` eagerly rather than relying on numpy broadcasting.
 
+An op's input arrays must not be written in place between its forward
+and its backward: several backward closures read them instead of saving
+a copy. `mul` and `matmul` read their operands, and a stride-1 `conv2d`
+reads x to form its weight gradient. Nothing in the package writes an op
+input in place while a tape is live; `SGD.step` updates the parameters
+in place only after the backward.
+
 Inside ``with no_grad():`` ops record nothing: outputs get no parents, no
 gradient closure and ``requires_grad == False``, so every intermediate
 buffer is freed as soon as the forward stops referring to it. Parameters
@@ -260,11 +267,11 @@ class Tensor:
         free the tape on the way.
 
         The walk takes each op output's gradient closure and gradient off
-        the node before running the closure, so every saved buffer (im2col
-        matrices, x_hat, masks) and every intermediate gradient is freed
-        once its last reader has run. Afterwards the op outputs hold no
-        .grad and no parents; a second backward() through them raises
-        ``ContractViolation``.
+        the node before running the closure, so every saved buffer (the
+        patch matrices of strided convs, x_hat, masks) and every
+        intermediate gradient is freed once its last reader has run.
+        Afterwards the op outputs hold no .grad and no parents; a second
+        backward() through them raises ``ContractViolation``.
         """
         if self.data.size != 1:
             raise ContractViolation(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -342,16 +349,18 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add one gradient contribution to t.grad.
 
-    A leaf's gradient is user-visible, so it gets an owned copy. An op
-    output keeps the array it is handed, which may be a view shared with
-    another node's gradient (`add` hands the same g to both operands).
-    This is safe because no gradient closure writes into its incoming g
-    or into any .grad.
+    A leaf's gradient is user-visible, so it gets an owned C-ordered copy
+    (a stride-1 conv hands its weight gradient over as a flipped,
+    transposed view, and `SGD.step` reads it). An op output keeps the
+    array it is handed, which may be a view shared with another node's
+    gradient (`add` hands the same g to both operands). This is safe
+    because no gradient closure writes into its incoming g or into any
+    .grad.
     """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g if t._parents else np.array(g, dtype=np.float64)
+        t.grad = g if t._parents else np.array(g, dtype=np.float64, order="C")
     else:
         # out of place: the stored gradient may alias another node's
         t.grad = t.grad + g
@@ -478,16 +487,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
     The input is unfolded (im2col, padding included) to one
     [Cin*k*k, B*H'*W'] matrix, so a single GEMM with the [Cout, Cin*k*k]
-    weight covers the whole batch in the forward, and one each in the
-    weight and input gradients (Chellapilla et al., 2006). A 1x1 conv is
-    then one transpose copy and one GEMM.
+    weight covers the whole batch in the forward (Chellapilla et al.,
+    2006). A 1x1 conv is then one transpose copy and one GEMM.
 
-    The input gradient of a stride-1 conv is itself a correlation: the
-    output gradient, padded by k-1-pad (cropped when that is negative),
-    correlated with the spatially flipped kernel whose in and out
-    channels are swapped (Dumoulin & Visin, 2016). So it is gathered by
-    one `_im2col` of the gradient and one GEMM. Strided convs scatter-add
-    the patch gradients back with `_col2im`.
+    A stride-1 conv drops that matrix after the forward GEMM, so the tape
+    holds only x for it. Its backward unfolds the output gradient once,
+    padded by k-1-pad (cropped when that is negative), into gcols
+    [Cout*k*k, B*H*W], and takes both gradients from it (Dumoulin & Visin,
+    2016): the input gradient is the correlation of that padded gradient
+    with the spatially flipped kernel whose in and out channels are
+    swapped, `wf @ gcols`; the weight gradient is `x_cm @ gcols.T` with x
+    in channel-major order [Cin, B*H*W], which gives the flipped and
+    transposed kernel gradient. A strided conv keeps its patch matrix for
+    the weight gradient and scatter-adds the patch gradients back with
+    `_col2im`. The bias gradient sums g over batch and space.
     """
     x, w = _coerce(x), _coerce(w)
     if x.data.ndim != 4:
@@ -509,25 +522,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     cols = _im2col(x.data, k, stride, pad, ho, wo)
     wm = w.data.reshape(cout, cin * k * k)
     out = wm @ cols
+    if stride == 1:
+        cols = None  # the backward derives both gradients from the unfolded g
     if b is not None:
         out += b.data[:, None]
     parents = (x, w) if b is None else (x, w, b)
 
     def grad_fn(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(cout, bsz * ho * wo)
-        if w.requires_grad:
-            _accumulate(w, (g2 @ cols.T).reshape(w.data.shape))
         if b is not None and b.requires_grad:
-            _accumulate(b, g2.sum(axis=1))
-        if not x.requires_grad:
-            return
+            _accumulate(b, np.einsum("bchw->c", g))
         if stride > 1:
-            _accumulate(x, _col2im(wm.T @ g2, x.data.shape, k, stride, pad, ho, wo))
+            g2 = g.transpose(1, 0, 2, 3).reshape(cout, bsz * ho * wo)
+            if w.requires_grad:
+                _accumulate(w, (g2 @ cols.T).reshape(w.data.shape))
+            if x.requires_grad:
+                _accumulate(x, _col2im(wm.T @ g2, x.data.shape, k, stride, pad, ho, wo))
             return
-        # unfolding g for an unpadded 1x1 conv would copy g2 again
-        gcols = g2 if k == 1 and pad == 0 else _im2col(g, k, 1, k - 1 - pad, h, wid)
-        wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-        _accumulate(x, (wf @ gcols).reshape(cin, bsz, h, wid).transpose(1, 0, 2, 3))
+        if not (x.requires_grad or w.requires_grad):
+            return
+        gcols = _im2col(g, k, 1, k - 1 - pad, h, wid)
+        if x.requires_grad:
+            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+            _accumulate(x, (wf @ gcols).reshape(cin, bsz, h, wid).transpose(1, 0, 2, 3))
+        if w.requires_grad:
+            x_cm = x.data.transpose(1, 0, 2, 3).reshape(cin, bsz * h * wid)
+            gw = x_cm @ gcols.T
+            del gcols, x_cm  # freed before the leaf copy below
+            _accumulate(w, gw.reshape(cin, cout, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
     out = np.ascontiguousarray(out.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3))
     return _result(out, parents, grad_fn)
@@ -596,10 +617,14 @@ def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Nearest-neighbour spatial resample of [...,H,W] in either direction;
     the forward is `resize_nearest`.
 
-    The gradient sums the output cells that copied each source cell: a
-    whole-factor upsample sums each fh x fw block by a reshape, a
-    whole-factor downsample (which picks distinct cells) assigns into
-    zeros, and any other ratio scatter-adds with `np.add.at`.
+    The gradient sums the output cells that copied each source cell. A
+    whole-factor upsample adds strided slices, one per block offset: the
+    fw slices of each of the fh block rows left to right, then those row
+    sums. On a source larger than 1x1 with factors below 8 that is the
+    order a reshape-sum over each block adds in, at a fraction of its
+    cost; otherwise the two differ in the last bits. A whole-factor
+    downsample (which picks distinct cells) assigns into zeros, and any
+    other ratio scatter-adds with `np.add.at`.
     """
     if x.data.ndim < 2:
         raise ContractViolation(f"resample needs spatial trailing axes, got {x.shape}")
@@ -611,7 +636,13 @@ def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
     def grad_fn(g):
         g3 = g.reshape(lead, out_h, out_w)
         if out_h % h == 0 and out_w % w == 0:
-            gx = g3.reshape(lead, h, out_h // h, w, out_w // w).sum(axis=(2, 4))
+            fh, fw = out_h // h, out_w // w
+            gx = None
+            for i in range(fh):
+                row = g3[:, i::fh, ::fw]
+                for j in range(1, fw):
+                    row = row + g3[:, i::fh, j::fw]
+                gx = row if gx is None else gx + row
         else:
             gx = np.zeros((lead, h, w), dtype=np.float64)
             if h % out_h == 0 and w % out_w == 0:

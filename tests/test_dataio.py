@@ -164,6 +164,16 @@ def test_synth_generate_loadable(tmp_path):
     assert imgs.min() >= 0.0 and imgs.max() <= 1.0
 
 
+@pytest.mark.parametrize("size", [16, 8, 24])
+def test_load_images_matches_load_ppm(tmp_path, size):
+    # decoding into the batch array, resampled in bytes, gives load_ppm's bits
+    m = synth_generate(seed=2, n_samples=3, n_labels=4, input_size=16, out_dir=tmp_path)
+    imgs = load_images(m, tmp_path, size=size)
+    assert imgs.flags.c_contiguous
+    for img, r in zip(imgs, m.records):
+        np.testing.assert_array_equal(img, load_ppm(tmp_path / r.image_path, size=size))
+
+
 def test_synth_generate_validation(tmp_path):
     with pytest.raises(ConfigurationError):
         synth_generate(seed=0, n_samples=0, n_labels=4, input_size=16, out_dir=tmp_path)

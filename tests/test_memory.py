@@ -1,4 +1,5 @@
-"""Heap held by one training step: the backward frees the tape it walks."""
+"""Heap held by one training step: the backward frees the tape it walks,
+and stride-1 convs put no patch matrix on it."""
 import tracemalloc
 
 import numpy as np
@@ -13,15 +14,13 @@ def _forward_loss(model, x, targets):
     return total_loss(pred_loss(out.y_e, out.y_emotion, targets), model.adversary(out))
 
 
-def test_backward_frees_the_forward_buffers():
-    """One `full` step at 64 px, batch 8. Relative to the heap the forward
-    leaves live (saved im2col matrices, x_hat, masks), the backward may
-    rise by at most a quarter, and at most a quarter may stay held once it
-    is done while the loss is still referenced (the parameter gradients)."""
-    model = build_model(TrainConfig(ablation="full", R=2, input_size=64), n_labels=8)
+def _step_heap(preset: str, size: int) -> tuple[int, int, int, int]:
+    """Heap after the forward, at the backward's peak and after it, for
+    one batch-8 step after a warm-up step; and the parameter bytes."""
+    model = build_model(TrainConfig(ablation=preset, R=2, input_size=size), n_labels=8)
     opt = SGD(model.parameters(), lr=0.01, momentum=0.9)
     r = np.random.default_rng(2)
-    x = r.random((8, 3, 64, 64))
+    x = r.random((8, 3, size, size))
     targets = r.dirichlet(np.ones(8), size=8)
     _forward_loss(model, x, targets).backward()
     opt.step()
@@ -36,6 +35,29 @@ def test_backward_frees_the_forward_buffers():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    param_bytes = sum(t.data.nbytes for t in model.parameters().values())
+    return after_forward, peak, held, param_bytes
+
+
+def test_backward_frees_the_forward_buffers():
+    """One `full` step at 64 px, batch 8. Relative to the heap the forward
+    leaves live (activations, stride-2 patch matrices, x_hat, masks), the
+    backward may rise by at most a quarter, and at most a quarter may stay
+    held once it is done while the loss is still referenced: the parameter
+    gradients and little else."""
+    after_forward, peak, held, param_bytes = _step_heap("full", 64)
     assert after_forward > 10e6
     assert peak - after_forward <= 0.25 * after_forward, (after_forward, peak)
     assert held <= 0.25 * after_forward, (after_forward, held)
+    assert held <= param_bytes + 64 * 1024, (param_bytes, held)
+    # the tape held 31.4 MB while every conv kept its im2col matrix
+    assert after_forward <= 25e6, after_forward
+
+
+def test_backbone_tape_at_128px_keeps_no_stride1_patch_matrix():
+    """Preset `B` at 128 px, batch 8: the stride-1 convs' patch matrices,
+    9x their input, were 50 of the 87 MB the forward left live."""
+    after_forward, peak, held, param_bytes = _step_heap("B", 128)
+    assert after_forward <= 60e6, after_forward
+    assert peak - after_forward <= 0.25 * after_forward, (after_forward, peak)
+    assert held <= param_bytes + 64 * 1024, (param_bytes, held)

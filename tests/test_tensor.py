@@ -1,5 +1,6 @@
 """Autograd engine: finite-difference oracles for every op, API contracts,
 the SGD update rule, and the tape the backward consumes."""
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -160,6 +161,43 @@ def test_conv2d_matches_loop_reference(bsz, k, stride, pad):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("tracked", ["x", "w"])
+def test_conv2d_one_tracked_operand_matches_loop_reference(k, stride, pad, tracked):
+    """With only x or only w tracked, the backward takes the branch that
+    computes that one gradient and still matches the loops."""
+    r = np.random.default_rng(1000 + 10 * k + 2 * stride + pad)
+    x = Tensor(r.standard_normal((2, 3, 5, 6)), requires_grad=tracked == "x")
+    w = Tensor(r.standard_normal((4, 3, k, k)), requires_grad=tracked == "w")
+    b = Tensor(r.standard_normal(4))
+    out = T.conv2d(x, w, b, stride=stride, pad=pad)
+    proj = r.standard_normal(out.shape)
+    (out * Tensor(proj)).sum().backward()
+    _, ref_gx, ref_gw, _ = _conv_reference(x.data, w.data, b.data, stride, pad, proj)
+    got, want, untracked = (x.grad, ref_gx, w) if tracked == "x" else (w.grad, ref_gw, x)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert got.flags.c_contiguous and untracked.grad is None and b.grad is None
+
+
+def test_stride1_conv_keeps_no_patch_matrix():
+    """A stride-1 conv's tape holds x and w, which the caller holds anyway,
+    and no [Cin*9, B*H*W] patch matrix (9x the input here)."""
+    r = np.random.default_rng(4)
+    x = Tensor(r.standard_normal((8, 8, 32, 32)), requires_grad=True)
+    w = Tensor(r.standard_normal((8, 8, 3, 3)), requires_grad=True)
+    b = Tensor(r.standard_normal(8), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.conv2d(x, w, b, stride=1, pad=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= out.data.nbytes + 64 * 1024, (held, x.data.nbytes)
+
+
 def test_conv2d_batch_rows_match_batch_one():
     r = np.random.default_rng(8)
     x = r.standard_normal((5, 4, 7, 7))
@@ -234,6 +272,23 @@ def test_resample_backward_matches_scatter_add(src, dst):
               g.reshape((6,) + dst))
     # a block sum may add in another order than the scatter-add
     np.testing.assert_allclose(x.grad, want.reshape(x.shape), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("src, factor", [
+    ((4, 4), (2, 2)),   # the FPN upsample
+    ((8, 8), (4, 4)),   # a Gram map stacked at 4x its side
+    ((3, 5), (2, 4)),
+    ((2, 3), (3, 1)),
+    ((1, 1), (2, 2)),   # adds in another order than the reshape-sum
+])
+def test_upsample_backward_matches_reshape_sum(src, factor):
+    r = np.random.default_rng(src[0] * factor[1])
+    x = Tensor(r.standard_normal((2, 3) + src), requires_grad=True)
+    out = T.upsample_nearest(x, src[0] * factor[0], src[1] * factor[1])
+    g = r.standard_normal(out.shape)
+    (out * Tensor(g)).sum().backward()
+    want = g.reshape(2, 3, src[0], factor[0], src[1], factor[1]).sum(axis=(3, 5))
+    np.testing.assert_allclose(x.grad, want, rtol=1e-15, atol=0)
 
 
 def test_grad_concat_repeat():
