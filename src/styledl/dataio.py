@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, FormatError, ValidationError
-from .tensor import resize_nearest
+from .tensor import nearest_index
 
 EMOTION_NAMES_8 = ("amusement", "anger", "awe", "contentment",
                    "disgust", "excitement", "fear", "sadness")
@@ -151,15 +151,28 @@ def _ppm_pixels(path: str | Path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
 
 
+def _check_size(size: int) -> None:
+    if size < 1:
+        raise ContractViolation(f"image size {size}x{size} must be at least 1x1")
+
+
+def _ppm_chw(path: str | Path, size: int | None) -> np.ndarray:
+    """The bytes of a P6 file as uint8 [3,H,W], nearest-resampled in bytes
+    (rows, then columns) to size x size when it has another size."""
+    chw = _ppm_pixels(path).transpose(2, 0, 1)
+    h, w = chw.shape[1:]
+    if size is not None and (h, w) != (size, size):
+        chw = chw.take(nearest_index(h, size), axis=1).take(nearest_index(w, size), axis=2)
+    return chw
+
+
 def load_ppm(path: str | Path, size: int | None = None) -> np.ndarray:
     """Read a binary P6 image into floats [3,H,W] in [0,1], optionally
     nearest-resized to size x size; an image already that size is not
     resampled."""
-    pixels = _ppm_pixels(path)
-    img = pixels.transpose(2, 0, 1).astype(np.float64, order="C") / 255.0
-    if size is not None and pixels.shape[:2] != (size, size):
-        img = resize_nearest(img, size, size)
-    return img
+    if size is not None:
+        _check_size(size)
+    return np.ascontiguousarray(_ppm_chw(path, size)) / 255.0
 
 
 def save_ppm(path: str | Path, img: np.ndarray) -> None:
@@ -214,22 +227,24 @@ def synth_generate(seed: int, n_samples: int, n_labels: int, input_size: int,
     return manifest
 
 
-def load_images(manifest: Manifest, root: str | Path, size: int) -> np.ndarray:
-    """Decode every record's image straight into its slot of one
-    [N,3,size,size] array. The bytes are resampled before they are
-    scaled, which gives the bits of `load_ppm` at the same size."""
+def load_pixels(manifest: Manifest, root: str | Path, size: int) -> np.ndarray:
+    """Decode every record's image straight into its slot of one uint8
+    [N,3,size,size] array, nearest-resampled in bytes where the file has
+    another size. At one byte per value this is the form to hold a large
+    corpus in; `x / 255.0` gives the floats `load_images` returns."""
+    _check_size(size)
     root = Path(root)
-    if not manifest.records:
-        return np.zeros((0, 3, size, size))
-    images = None
+    pixels = np.empty((len(manifest.records), 3, size, size), dtype=np.uint8)
     for slot, record in enumerate(manifest.records):
-        pixels = _ppm_pixels(root / record.image_path).transpose(2, 0, 1)
-        if pixels.shape[1:] != (size, size):
-            pixels = resize_nearest(pixels, size, size)
-        if images is None:  # after the first resample has checked `size`
-            images = np.empty((len(manifest.records), 3, size, size))
-        np.divide(pixels, 255.0, out=images[slot])
-    return images
+        pixels[slot] = _ppm_chw(root / record.image_path, size)
+    return pixels
+
+
+def load_images(manifest: Manifest, root: str | Path, size: int) -> np.ndarray:
+    """Floats [N,3,size,size] in [0,1]: `load_pixels(...) / 255.0`, which
+    has the bits of `load_ppm` at the same size. Holds 8 bytes per value;
+    `train` keeps the uint8 pixels and scales one batch at a time."""
+    return load_pixels(manifest, root, size) / 255.0
 
 
 # ------------------------------------------------- adjacency and splits

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import check_input_size
-from .dataio import Manifest, cooccurrence_adjacency, load_images, read_utf8
+from .dataio import Manifest, cooccurrence_adjacency, load_images, load_pixels, read_utf8
 from .errors import ConfigurationError, ContractViolation, FormatError, TrainingError
 from .losses import pred_loss, total_loss
 from .metrics import MetricReport, evaluate_metrics
@@ -334,10 +334,15 @@ def train(cfg: TrainConfig, manifest: Manifest, root: str | Path,
     `root` is the directory image paths are relative to. Returns the
     final checkpoint and the per-epoch log; optionally writes the
     checkpoint to out_path.
+
+    The corpus is held as uint8 pixels (`load_pixels`), one byte per
+    value. Each batch is gathered and flipped in bytes, then divided by
+    255.0 into the float64 input the model sees, which has the bits of
+    the same rows of `load_images`.
     """
     if not manifest.records:
         raise ContractViolation("training manifest is empty")
-    images = load_images(manifest, root, cfg.input_size)
+    pixels = load_pixels(manifest, root, cfg.input_size)
     targets = manifest.distributions()
     model = build_model(cfg, manifest.n_labels)
     if model.gcn:
@@ -356,12 +361,12 @@ def train(cfg: TrainConfig, manifest: Manifest, root: str | Path,
         batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = images[idx]
+            batch = pixels[idx]
             if cfg.flip:
                 flip_mask = data_rng.random(len(idx)) < 0.5
                 batch[flip_mask] = batch[flip_mask][..., ::-1]
             try:
-                out = model.forward(Tensor(batch))
+                out = model.forward(Tensor(batch / 255.0))
                 l_pred = pred_loss(out.y_e, out.y_emotion, targets[idx])
                 l_adv = model.adversary(out)
                 loss = total_loss(l_pred, l_adv)

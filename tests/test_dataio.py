@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from styledl import tensor as T
 from styledl.dataio import (DatasetRecord, Manifest, cooccurrence_adjacency,
-                            load_images, load_manifest, load_ppm,
+                            load_images, load_manifest, load_pixels, load_ppm,
                             save_manifest, save_ppm, split_dataset, synth_generate)
-from styledl.errors import ConfigurationError, FormatError, ValidationError
+from styledl.errors import ConfigurationError, ContractViolation, FormatError, ValidationError
 from styledl.tensor import resize_nearest
 
 
@@ -172,6 +172,42 @@ def test_load_images_matches_load_ppm(tmp_path, size):
     assert imgs.flags.c_contiguous
     for img, r in zip(imgs, m.records):
         np.testing.assert_array_equal(img, load_ppm(tmp_path / r.image_path, size=size))
+
+
+def test_load_pixels_is_one_contiguous_uint8_array(tmp_path):
+    m = synth_generate(seed=3, n_samples=3, n_labels=4, input_size=16, out_dir=tmp_path)
+    for size in (16, 8, 24):
+        pixels = load_pixels(m, tmp_path, size=size)
+        assert pixels.dtype == np.uint8 and pixels.shape == (3, 3, size, size)
+        assert pixels.flags.c_contiguous
+
+
+@pytest.mark.parametrize("size", [16, 8, 24, 32])
+def test_scaled_pixels_have_the_bits_of_load_images_and_load_ppm(tmp_path, size):
+    # 16 is the stored size, 8 a downsample, 24 an uneven and 32 a 2x upsample;
+    # the last record is 12x20, so rows and columns are resampled apart
+    m = synth_generate(seed=6, n_samples=3, n_labels=4, input_size=16, out_dir=tmp_path)
+    save_ppm(tmp_path / "wide.ppm", np.random.default_rng(6).random((3, 12, 20)))
+    m.records.append(DatasetRecord("wide.ppm", m.records[0].distribution))
+    scaled = load_pixels(m, tmp_path, size=size) / 255.0
+    np.testing.assert_array_equal(scaled, load_images(m, tmp_path, size=size))
+    for img, r in zip(scaled, m.records):
+        one = load_ppm(tmp_path / r.image_path, size=size)
+        assert one.flags.c_contiguous
+        np.testing.assert_array_equal(img, one)
+
+
+@pytest.mark.parametrize("size", [0, -3])
+@pytest.mark.parametrize("n_samples", [0, 2])
+def test_load_rejects_size_below_one(tmp_path, size, n_samples):
+    m = synth_generate(seed=0, n_samples=max(n_samples, 1), n_labels=4, input_size=8,
+                       out_dir=tmp_path)
+    m = Manifest(m.label_names, m.records[:n_samples])
+    for load in (load_pixels, load_images):
+        with pytest.raises(ContractViolation, match=f"{size}x{size}"):
+            load(m, tmp_path, size)
+    with pytest.raises(ContractViolation, match=f"{size}x{size}"):
+        load_ppm(tmp_path / "sample_0000.ppm", size=size)
 
 
 def test_synth_generate_validation(tmp_path):

@@ -1,12 +1,15 @@
 """Heap held by one training step: the backward frees the tape it walks,
-and stride-1 convs put no patch matrix on it."""
+and stride-1 convs put no patch matrix on it. Heap held by a training
+run: the corpus stays resident as uint8 pixels."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
 
+from styledl.dataio import synth_generate
 from styledl.losses import pred_loss, total_loss
 from styledl.tensor import SGD, Tensor
-from styledl.training import TrainConfig, build_model
+from styledl.training import TrainConfig, build_model, train
 
 
 def _forward_loss(model, x, targets):
@@ -61,3 +64,25 @@ def test_backbone_tape_at_128px_keeps_no_stride1_patch_matrix():
     assert after_forward <= 60e6, after_forward
     assert peak - after_forward <= 0.25 * after_forward, (after_forward, peak)
     assert held <= param_bytes + 64 * 1024, (param_bytes, held)
+
+
+def _train_peak(manifest, root) -> int:
+    cfg = TrainConfig(ablation="B", epochs=1, input_size=64, lr=0.001)
+    tracemalloc.start()
+    try:
+        train(cfg, manifest, root)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_corpus_is_resident_as_uint8(tmp_path):
+    """Preset `B` at 64 px, one epoch of batch-8 steps on 8 and on 40
+    images: the 32 extra images may raise the run's peak by at most twice
+    their uint8 bytes. A float64 corpus would raise it by eight times."""
+    manifest = synth_generate(seed=0, n_samples=40, n_labels=8, input_size=64,
+                              out_dir=tmp_path)
+    small = _train_peak(dataclasses.replace(manifest, records=manifest.records[:8]), tmp_path)
+    large = _train_peak(manifest, tmp_path)
+    extra_bytes = 32 * 3 * 64 * 64
+    assert large - small <= 2 * extra_bytes, (small, large)

@@ -10,7 +10,7 @@ import pytest
 import styledl.model as model_mod
 import styledl.training as train_mod
 from styledl.cli import main
-from styledl.dataio import synth_generate
+from styledl.dataio import load_images, synth_generate
 from styledl.errors import ConfigurationError, FormatError, TrainingError
 from styledl.losses import pred_loss, total_loss
 from styledl.model import ABLATION_PRESETS
@@ -186,6 +186,36 @@ def test_train_rejects_empty_manifest(corpus):
     empty = dataclasses.replace(manifest, records=[])
     with pytest.raises(Exception):
         train(_fast_cfg(), empty, root)
+
+
+def test_train_feeds_each_decoded_image_once_per_epoch(corpus, monkeypatch):
+    # the uint8 corpus, gathered, flipped and scaled per batch, gives the
+    # model rows of load_images or their mirror images
+    manifest, root = corpus
+    images = load_images(manifest, root, 32)
+    seen = []
+    real = model_mod.EmotionDistributionNet.forward
+
+    def recording(self, x):
+        seen.append(x.data.copy())
+        return real(self, x)
+
+    monkeypatch.setattr(model_mod.EmotionDistributionNet, "forward", recording)
+    train(_fast_cfg(epochs=2, batch_size=3, flip=True, seed=4), manifest, root)
+    n = len(images)
+    rows = np.concatenate(seen)
+    assert rows.dtype == np.float64 and len(rows) == 2 * n
+    flipped = 0
+    for epoch in (rows[:n], rows[n:]):
+        sources = []
+        for row in epoch:
+            plain = [j for j in range(n) if np.array_equal(row, images[j])]
+            mirror = [j for j in range(n) if np.array_equal(row, images[j][..., ::-1])]
+            assert len(plain) + len(mirror) == 1
+            sources += plain + mirror
+            flipped += bool(mirror)
+        assert sorted(sources) == list(range(n))
+    assert flipped > 0
 
 
 def test_determinism_same_seed(corpus, tmp_path):
