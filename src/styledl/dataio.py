@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, FormatError, ValidationError
-from .tensor import nearest_index
+from .tensor import resize_nearest
 
 EMOTION_NAMES_8 = ("amusement", "anger", "awe", "contentment",
                    "disgust", "excitement", "fear", "sadness")
@@ -158,11 +158,10 @@ def _check_size(size: int) -> None:
 
 def _ppm_chw(path: str | Path, size: int | None) -> np.ndarray:
     """The bytes of a P6 file as uint8 [3,H,W], nearest-resampled in bytes
-    (rows, then columns) to size x size when it has another size."""
+    to size x size when it has another size."""
     chw = _ppm_pixels(path).transpose(2, 0, 1)
-    h, w = chw.shape[1:]
-    if size is not None and (h, w) != (size, size):
-        chw = chw.take(nearest_index(h, size), axis=1).take(nearest_index(w, size), axis=2)
+    if size is not None and chw.shape[1:] != (size, size):
+        chw = resize_nearest(chw, size, size)
     return chw
 
 
@@ -241,10 +240,16 @@ def load_pixels(manifest: Manifest, root: str | Path, size: int) -> np.ndarray:
 
 
 def load_images(manifest: Manifest, root: str | Path, size: int) -> np.ndarray:
-    """Floats [N,3,size,size] in [0,1]: `load_pixels(...) / 255.0`, which
-    has the bits of `load_ppm` at the same size. Holds 8 bytes per value;
-    `train` keeps the uint8 pixels and scales one batch at a time."""
-    return load_pixels(manifest, root, size) / 255.0
+    """Floats [N,3,size,size] in [0,1] with the bits of `load_pixels(...) /
+    255.0` and of `load_ppm` at the same size: each image's bytes are
+    resampled, then divided straight into their slot. Holds 8 bytes per
+    value; `train` keeps the uint8 pixels and scales one batch at a time."""
+    _check_size(size)
+    root = Path(root)
+    images = np.empty((len(manifest.records), 3, size, size))
+    for slot, record in enumerate(manifest.records):
+        np.divide(_ppm_chw(root / record.image_path, size), 255.0, out=images[slot])
+    return images
 
 
 # ------------------------------------------------- adjacency and splits

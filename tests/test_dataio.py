@@ -164,34 +164,20 @@ def test_synth_generate_loadable(tmp_path):
     assert imgs.min() >= 0.0 and imgs.max() <= 1.0
 
 
-@pytest.mark.parametrize("size", [16, 8, 24])
-def test_load_images_matches_load_ppm(tmp_path, size):
-    # decoding into the batch array, resampled in bytes, gives load_ppm's bits
-    m = synth_generate(seed=2, n_samples=3, n_labels=4, input_size=16, out_dir=tmp_path)
-    imgs = load_images(m, tmp_path, size=size)
-    assert imgs.flags.c_contiguous
-    for img, r in zip(imgs, m.records):
-        np.testing.assert_array_equal(img, load_ppm(tmp_path / r.image_path, size=size))
-
-
-def test_load_pixels_is_one_contiguous_uint8_array(tmp_path):
-    m = synth_generate(seed=3, n_samples=3, n_labels=4, input_size=16, out_dir=tmp_path)
-    for size in (16, 8, 24):
-        pixels = load_pixels(m, tmp_path, size=size)
-        assert pixels.dtype == np.uint8 and pixels.shape == (3, 3, size, size)
-        assert pixels.flags.c_contiguous
-
-
 @pytest.mark.parametrize("size", [16, 8, 24, 32])
-def test_scaled_pixels_have_the_bits_of_load_images_and_load_ppm(tmp_path, size):
-    # 16 is the stored size, 8 a downsample, 24 an uneven and 32 a 2x upsample;
-    # the last record is 12x20, so rows and columns are resampled apart
-    m = synth_generate(seed=6, n_samples=3, n_labels=4, input_size=16, out_dir=tmp_path)
+def test_load_images_matches_load_ppm(tmp_path, size):
+    # decoding into the batch array, resampled in bytes, gives load_ppm's bits;
+    # 16 is the stored size, 8 a downsample, 24 an uneven and 32 a 2x upsample,
+    # and the 12x20 record has its rows and columns resampled apart
+    m = synth_generate(seed=2, n_samples=3, n_labels=4, input_size=16, out_dir=tmp_path)
     save_ppm(tmp_path / "wide.ppm", np.random.default_rng(6).random((3, 12, 20)))
     m.records.append(DatasetRecord("wide.ppm", m.records[0].distribution))
-    scaled = load_pixels(m, tmp_path, size=size) / 255.0
-    np.testing.assert_array_equal(scaled, load_images(m, tmp_path, size=size))
-    for img, r in zip(scaled, m.records):
+    imgs = load_images(m, tmp_path, size=size)
+    pixels = load_pixels(m, tmp_path, size=size)
+    assert imgs.flags.c_contiguous and pixels.flags.c_contiguous
+    assert pixels.dtype == np.uint8 and pixels.shape == (4, 3, size, size)
+    np.testing.assert_array_equal(pixels / 255.0, imgs)
+    for img, r in zip(imgs, m.records):
         one = load_ppm(tmp_path / r.image_path, size=size)
         assert one.flags.c_contiguous
         np.testing.assert_array_equal(img, one)
