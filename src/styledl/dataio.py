@@ -169,8 +169,6 @@ def load_ppm(path: str | Path, size: int | None = None) -> np.ndarray:
     """Read a binary P6 image into floats [3,H,W] in [0,1], optionally
     nearest-resized to size x size; an image already that size is not
     resampled."""
-    if size is not None:
-        _check_size(size)
     return np.ascontiguousarray(_ppm_chw(path, size)) / 255.0
 
 
