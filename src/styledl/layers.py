@@ -22,7 +22,12 @@ class Conv1x1:
 
 
 class ConvBlock:
-    """conv(3x3) -> layer_norm -> relu, strided when it has to downsample."""
+    """conv(3x3) -> layer_norm -> relu, strided when it has to downsample.
+
+    The three run as one `conv_block` op: one tape node that keeps only
+    the normalized conv output and its own output (and the patch matrix
+    of a strided conv), with the bits of the three ops run in turn.
+    """
 
     def __init__(self, rng: np.random.Generator, cin: int, cout: int, stride: int = 1):
         self.stride = stride
@@ -32,9 +37,7 @@ class ConvBlock:
         self.ln_beta = T.zeros_param(cout)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.conv2d(x, self.w, self.b, stride=self.stride, pad=1)
-        y = T.layer_norm(y, self.ln_gamma, self.ln_beta)
-        return y.relu()
+        return T.conv_block(x, self.w, self.b, self.ln_gamma, self.ln_beta, self.stride)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {

@@ -17,7 +17,10 @@ and its backward: several backward closures read them instead of saving
 a copy. `mul` and `matmul` read their operands, and a stride-1 `conv2d`
 reads x to form its weight gradient. Nothing in the package writes an op
 input in place while a tape is live; `SGD.step` updates the parameters
-in place only after the backward.
+in place only after the backward. The one in-place write during a
+forward is `conv_block`'s into the output of the `conv2d` it calls,
+which no other op sees: it normalizes that array into x_hat and masks
+its own output before returning it.
 
 Inside ``with no_grad():`` ops record nothing: outputs get no parents, no
 gradient closure and ``requires_grad == False``, so every intermediate
@@ -478,6 +481,13 @@ def _col2im(gcols: np.ndarray, xshape, k: int, stride: int, pad: int, ho: int, w
     return gxt[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
+# Cap on the bytes of one unfold of the output gradient in a stride-1 conv
+# backward: the batch is unfolded in chunks of whole samples that fit under
+# it (one sample at least). No conv of a 64 px model reaches it; at 128 px
+# the 64 px stride-1 conv's unfold (18.9 MB at batch 8) is split.
+_GCOLS_BYTES = 8 << 20
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation over [B,Cin,H,W] with weight [Cout,Cin,k,k].
 
@@ -491,16 +501,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     2006). A 1x1 conv is then one transpose copy and one GEMM.
 
     A stride-1 conv drops that matrix after the forward GEMM, so the tape
-    holds only x for it. Its backward unfolds the output gradient once,
-    padded by k-1-pad (cropped when that is negative), into gcols
-    [Cout*k*k, B*H*W], and takes both gradients from it (Dumoulin & Visin,
-    2016): the input gradient is the correlation of that padded gradient
-    with the spatially flipped kernel whose in and out channels are
-    swapped, `wf @ gcols`; the weight gradient is `x_cm @ gcols.T` with x
-    in channel-major order [Cin, B*H*W], which gives the flipped and
-    transposed kernel gradient. A strided conv keeps its patch matrix for
-    the weight gradient and scatter-adds the patch gradients back with
-    `_col2im`. The bias gradient sums g over batch and space.
+    holds only x for it. Its backward unfolds the output gradient, padded
+    by k-1-pad (cropped when that is negative), into gcols
+    [Cout*k*k, b*H*W] for a chunk of b samples, and takes both gradients
+    from it (Dumoulin & Visin, 2016): the input gradient is the
+    correlation of that padded gradient with the spatially flipped kernel
+    whose in and out channels are swapped, `wf @ gcols`; the weight
+    gradient is `x_cm @ gcols.T` with x in channel-major order
+    [Cin, b*H*W], which gives the flipped and transposed kernel gradient.
+    The chunks are as large as `_GCOLS_BYTES` allows, so a small conv
+    unfolds its whole batch at once. Each chunk writes its columns of one
+    channel-major input gradient [Cin, B, H, W], handed over as a
+    transposed view, and the weight gradient is summed over the chunks;
+    a split therefore changes only the weight gradient's summation order.
+    A strided conv keeps its patch matrix for the weight gradient and
+    scatter-adds the patch gradients back with `_col2im`. The bias
+    gradient sums g over batch and space.
     """
     x, w = _coerce(x), _coerce(w)
     if x.data.ndim != 4:
@@ -540,14 +556,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             return
         if not (x.requires_grad or w.requires_grad):
             return
-        gcols = _im2col(g, k, 1, k - 1 - pad, h, wid)
+        hw = h * wid
+        chunk = max(1, _GCOLS_BYTES // (cout * k * k * hw * 8))
         if x.requires_grad:
             wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-            _accumulate(x, (wf @ gcols).reshape(cin, bsz, h, wid).transpose(1, 0, 2, 3))
+            gx_cm = np.empty((cin, bsz * hw), dtype=np.float64)
+        gw = None
+        for lo in range(0, bsz, chunk):
+            hi = min(lo + chunk, bsz)
+            gcols = _im2col(g[lo:hi], k, 1, k - 1 - pad, h, wid)
+            if x.requires_grad:
+                np.matmul(wf, gcols, out=gx_cm[:, lo * hw:hi * hw])
+            if w.requires_grad:
+                part = x.data[lo:hi].transpose(1, 0, 2, 3).reshape(cin, (hi - lo) * hw) @ gcols.T
+                gw = part if gw is None else gw + part
+            del gcols  # freed before the next chunk's unfold
+        if x.requires_grad:
+            _accumulate(x, gx_cm.reshape(cin, bsz, h, wid).transpose(1, 0, 2, 3))
         if w.requires_grad:
-            x_cm = x.data.transpose(1, 0, 2, 3).reshape(cin, bsz * h * wid)
-            gw = x_cm @ gcols.T
-            del gcols, x_cm  # freed before the leaf copy below
             _accumulate(w, gw.reshape(cin, cout, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
     out = np.ascontiguousarray(out.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3))
@@ -555,6 +581,48 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
 
 # ------------------------------------------------------------- layer norm
+def _ln_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, eps: float,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample layer norm of [B,C,H,W] over (C,H,W) plus the per-channel
+    affine; returns (x_hat, inv_std, y).
+
+    x is centered into `out` (a new buffer when None; x itself to work in
+    place) and normalized there into x_hat; y is a new buffer.
+    """
+    if x.ndim != 4:
+        raise ContractViolation(f"layer_norm input must be [B,C,H,W], got {x.shape}")
+    bsz, c = x.shape[:2]
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise ContractViolation(f"layer_norm affine shapes {gamma.shape}/{beta.shape} for C={c}")
+    n = x[0].size
+    xhat = np.subtract(x, x.mean(axis=(1, 2, 3), keepdims=True), out=out)
+    var = np.einsum("bchw,bchw->b", xhat, xhat) / n
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(bsz, 1, 1, 1)
+    xhat *= inv_std
+    y = xhat * gamma.data.reshape(1, c, 1, 1)
+    y += beta.data.reshape(1, c, 1, 1)
+    return xhat, inv_std, y
+
+
+def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gamma: Tensor,
+                 beta: Tensor, dx: np.ndarray | None) -> None:
+    """Accumulate the affine gradients of `_ln_forward` and, when `dx` is
+    given, write the input gradient into it (`dx` may be g itself)."""
+    bsz, c = g.shape[:2]
+    n = g[0].size
+    s_g = g.sum(axis=(2, 3))
+    s_gx = np.einsum("bchw,bchw->bc", g, xhat)
+    if gamma.requires_grad:
+        _accumulate(gamma, s_gx.sum(axis=0))
+    if beta.requires_grad:
+        _accumulate(beta, s_g.sum(axis=0))
+    if dx is not None:
+        np.multiply(g, gamma.data.reshape(1, c, 1, 1), out=dx)
+        dx -= (s_g @ gamma.data / n).reshape(bsz, 1, 1, 1)
+        dx -= xhat * (s_gx @ gamma.data / n).reshape(bsz, 1, 1, 1)
+        dx *= inv_std
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize each sample of [B,C,H,W] over (C,H,W), then apply a
     per-channel affine. Mean 0 / variance 1 holds before the affine.
@@ -567,35 +635,45 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     buffer; only the projection term x_hat * (s_gx @ gamma / n) needs a
     temporary.
     """
-    if x.data.ndim != 4:
-        raise ContractViolation(f"layer_norm input must be [B,C,H,W], got {x.shape}")
-    bsz, c = x.data.shape[:2]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ContractViolation(f"layer_norm affine shapes {gamma.shape}/{beta.shape} for C={c}")
-    n = x.data[0].size
-    xhat = x.data - x.data.mean(axis=(1, 2, 3), keepdims=True)
-    var = np.einsum("bchw,bchw->b", xhat, xhat) / n
-    inv_std = (1.0 / np.sqrt(var + eps)).reshape(bsz, 1, 1, 1)
-    xhat *= inv_std
-    gb = gamma.data.reshape(1, c, 1, 1)
-    out = xhat * gb
-    out += beta.data.reshape(1, c, 1, 1)
+    xhat, inv_std, out = _ln_forward(x.data, gamma, beta, eps)
 
     def grad_fn(g):
-        s_g = g.sum(axis=(2, 3))
-        s_gx = np.einsum("bchw,bchw->bc", g, xhat)
-        if gamma.requires_grad:
-            _accumulate(gamma, s_gx.sum(axis=0))
-        if beta.requires_grad:
-            _accumulate(beta, s_g.sum(axis=0))
-        if x.requires_grad:
-            dx = g * gb
-            dx -= (s_g @ gamma.data / n).reshape(bsz, 1, 1, 1)
-            dx -= xhat * (s_gx @ gamma.data / n).reshape(bsz, 1, 1, 1)
-            dx *= inv_std
+        dx = np.empty_like(g) if x.requires_grad else None
+        _ln_backward(g, xhat, inv_std, gamma, beta, dx)
+        if dx is not None:
             _accumulate(x, dx)
 
     return _result(out, (x, gamma, beta), grad_fn)
+
+
+def conv_block(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+               stride: int) -> Tensor:
+    """relu(layer_norm(conv2d(x, w, b, stride, pad=1), gamma, beta)) as one
+    tape node, with the bits of the three ops run one after another.
+
+    The conv runs through the public `conv2d`; its output is private to
+    this op, so it is normalized in place into x_hat, and the output is
+    masked in place (`out *= out > 0`, the bits of `x * mask`). The tape
+    holds x_hat and the output, plus what the conv's own closure keeps;
+    the node's parents are the conv's plus gamma and beta. The backward
+    takes the mask again from the output, masks the incoming gradient
+    into a new buffer, runs the layer-norm backward in place on it and
+    hands the result to the conv's closure. This is the memory trade of
+    in-place activated batch norm (Rota Bulo et al., 2018).
+    """
+    x = _coerce(x)
+    conv = conv2d(x, w, b, stride=stride, pad=1)
+    conv_grad = conv._grad_fn
+    xhat, inv_std, out = _ln_forward(conv.data, gamma, beta, 1e-6, out=conv.data)
+    out *= out > 0
+
+    def grad_fn(g):
+        gm = g * (out > 0)
+        _ln_backward(gm, xhat, inv_std, gamma, beta, gm if conv_grad is not None else None)
+        if conv_grad is not None:
+            conv_grad(gm)
+
+    return _result(out, (x, w, b, gamma, beta), grad_fn)
 
 
 # ------------------------------------------------------------- resampling

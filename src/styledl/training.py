@@ -24,6 +24,12 @@ from .metrics import MetricReport, evaluate_metrics
 from .model import ABLATION_PRESETS, EmotionDistributionNet
 from .tensor import SGD, Tensor, no_grad, skip_init
 
+# The public API, and `load_images`, which nothing here calls any more but
+# which stays a name of this module: bench/tracer.py patches it here.
+__all__ = ["CHECKPOINT_MAGIC", "Checkpoint", "EpochLog", "TrainConfig", "build_model", "evaluate",
+           "load_images", "load_train_config", "lr_at", "predict_batch", "save_train_config",
+           "train"]
+
 CHECKPOINT_MAGIC = b"SEDL1"
 
 
@@ -391,13 +397,19 @@ def predict_batch(model: EmotionDistributionNet, images: np.ndarray,
                   batch_size: int = 16) -> np.ndarray:
     """Final mixed distribution for every image, [N, C].
 
-    The forwards run under ``no_grad()``: no tape is built, so each batch's
-    intermediates are freed as soon as it is done.
+    `images` holds floats in [0, 1] or uint8 pixels (`load_pixels`); a
+    uint8 batch is divided by 255.0 as it is taken, as `train` does, so
+    only one batch of floats exists at a time. The forwards run under
+    ``no_grad()``: no tape is built, so each batch's intermediates are
+    freed as soon as it is done.
     """
     outputs = []
     with no_grad():
         for start in range(0, len(images), batch_size):
-            outputs.append(model.forward(Tensor(images[start:start + batch_size])).y.data)
+            batch = images[start:start + batch_size]
+            if batch.dtype == np.uint8:
+                batch = batch / 255.0
+            outputs.append(model.forward(Tensor(batch)).y.data)
     return np.concatenate(outputs) if outputs else np.zeros((0, model.n_labels))
 
 
@@ -407,7 +419,7 @@ def evaluate(checkpoint: Checkpoint, manifest: Manifest, root: str | Path) -> Me
         raise ConfigurationError(
             f"manifest has {manifest.n_labels} labels, checkpoint {checkpoint.n_labels}")
     model = checkpoint.build_model()
-    images = load_images(manifest, root, checkpoint.config.input_size)
-    preds = predict_batch(model, images)
+    pixels = load_pixels(manifest, root, checkpoint.config.input_size)
+    preds = predict_batch(model, pixels)
     return evaluate_metrics(manifest.distributions(), preds)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import styledl.tensor as T
 from conftest import away_from_kinks, gradcheck
 from styledl.errors import ConfigurationError, ContractViolation, TrainingError
+from styledl.layers import ConvBlock
 from styledl.losses import pred_loss, total_loss
 from styledl.tensor import SGD, Tensor
 from styledl.training import TrainConfig, build_model
@@ -198,6 +199,31 @@ def test_stride1_conv_keeps_no_patch_matrix():
     assert held <= out.data.nbytes + 64 * 1024, (held, x.data.nbytes)
 
 
+def test_stride1_conv_split_unfold_matches_loop_reference(monkeypatch):
+    """A backward whose gradient unfold exceeds the cap runs in batch
+    chunks (3 + 1 samples here) and still matches the loops; the input
+    gradient has the bits of an unsplit backward."""
+    assert 4 * 8 * 9 * 64 * 64 * 8 > T._GCOLS_BYTES >= 3 * 8 * 9 * 64 * 64 * 8
+    r = np.random.default_rng(13)
+    x_data, w_data, b_data = (r.standard_normal((4, 8, 64, 64)),
+                              r.standard_normal((8, 8, 3, 3)), r.standard_normal(8))
+    proj = r.standard_normal((4, 8, 64, 64))
+
+    def grads():
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data))
+        out = T.conv2d(x, w, b, stride=1, pad=1)
+        (out * Tensor(proj)).sum().backward()
+        return out.data, x.grad, w.grad, b.grad
+
+    split = grads()
+    for got, want in zip(split, _conv_reference(x_data, w_data, b_data, 1, 1, proj)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    monkeypatch.setattr(T, "_GCOLS_BYTES", 1 << 40)
+    whole = grads()
+    np.testing.assert_array_equal(split[1], whole[1])
+    np.testing.assert_allclose(split[2], whole[2], rtol=1e-12, atol=1e-12)
+
+
 def test_conv2d_batch_rows_match_batch_one():
     r = np.random.default_rng(8)
     x = r.standard_normal((5, 4, 7, 7))
@@ -243,6 +269,44 @@ def test_layer_norm_matches_textbook_reference():
     for got, want in ((out.data, want_out), (x.grad, want_gx), (gamma.grad, want_gg),
                       (beta.grad, want_gb)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _block_inputs(bsz, track_x, seed):
+    r = np.random.default_rng(seed)
+    return (Tensor(r.standard_normal((bsz, 3, 6, 6)), requires_grad=track_x),
+            Tensor(r.standard_normal((4, 3, 3, 3)), requires_grad=True),
+            Tensor(r.standard_normal(4), requires_grad=True),
+            Tensor(r.random(4) + 0.5, requires_grad=True),
+            Tensor(r.standard_normal(4), requires_grad=True))
+
+
+@pytest.mark.parametrize("bsz", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("track_x", [True, False])
+def test_conv_block_has_the_bits_of_three_ops(bsz, stride, track_x):
+    """The fused block matches conv2d -> layer_norm -> relu bit for bit,
+    forward and every gradient, also with x untracked as in the stem."""
+    seed = 10 * bsz + stride
+    fused = _block_inputs(bsz, track_x, seed)
+    x, w, b, gamma, beta = three = _block_inputs(bsz, track_x, seed)
+    want = T.layer_norm(T.conv2d(x, w, b, stride=stride, pad=1), gamma, beta).relu()
+    got = T.conv_block(*fused, stride)
+    proj = np.random.default_rng(seed).standard_normal(got.shape)
+    for out in (want, got):
+        (out * Tensor(proj)).sum().backward()
+    np.testing.assert_array_equal(got.data, want.data)
+    assert (fused[0].grad is None) == (three[0].grad is None) == (not track_x)
+    for f, t in zip(fused, three):
+        if t.grad is not None:
+            np.testing.assert_array_equal(f.grad, t.grad)
+
+
+def test_conv_block_is_one_tape_node():
+    block = ConvBlock(np.random.default_rng(3), 3, 4, stride=2)
+    x = Tensor(np.random.default_rng(4).standard_normal((2, 3, 8, 8)), requires_grad=True)
+    out = block(x)
+    assert _tape(out) == [out]
+    assert set(out._parents) == {x, block.w, block.b, block.ln_gamma, block.ln_beta}
 
 
 def test_grad_resample():
@@ -507,6 +571,7 @@ def _every_op(x, w, b, gamma):
     flat = img.reshape(2, -1)
     return [
         img, T.conv2d(x, w, stride=2, pad=1), T.layer_norm(img, gamma, b),
+        T.conv_block(x, w, b, gamma, b, 1),
         T.resample_nearest(img, 3, 3), T.upsample_nearest(img, 8, 8),
         flat @ flat.transpose(), T.linear(flat, flat.transpose(), Tensor(np.ones(2))),
         img + img, img * 2.0, 1.0 - img, img / 4.0, T.grad_reverse(img),

@@ -10,9 +10,10 @@ import pytest
 import styledl.model as model_mod
 import styledl.training as train_mod
 from styledl.cli import main
-from styledl.dataio import load_images, synth_generate
+from styledl.dataio import load_images, load_pixels, synth_generate
 from styledl.errors import ConfigurationError, FormatError, TrainingError
 from styledl.losses import pred_loss, total_loss
+from styledl.metrics import evaluate_metrics
 from styledl.model import ABLATION_PRESETS
 from styledl.tensor import SGD, Tensor, no_grad, skip_init
 from styledl.training import (Checkpoint, TrainConfig, build_model, evaluate,
@@ -418,6 +419,11 @@ def test_evaluate_produces_report(corpus):
     report = evaluate(ckpt, manifest, root)
     assert report.n == len(manifest)
     assert 0 <= report.mean["intersection"] <= 1
+    # uint8 pixels scaled per batch give the bits of the float64 corpus
+    model = ckpt.build_model()
+    floats = predict_batch(model, load_images(manifest, root, 32))
+    np.testing.assert_array_equal(predict_batch(model, load_pixels(manifest, root, 32)), floats)
+    assert report.mean == evaluate_metrics(manifest.distributions(), floats).mean
 
 
 def test_build_model_respects_config():
