@@ -18,6 +18,7 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class BackboneConfig:
+    """The model builds it from a `TrainConfig`, whose `input_size` is checked."""
     in_channels: int = 3
     stage_channels: tuple[int, ...] = (8, 16, 32, 64, 128)
     input_size: int = 64
@@ -41,7 +42,6 @@ class Stage:
 
 class Backbone:
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
-        _validate_config(cfg)
         self.cfg = cfg
         chans = (cfg.in_channels,) + tuple(cfg.stage_channels)
         self.stages = [Stage(rng, chans[i], chans[i + 1]) for i in range(5)]
@@ -71,14 +71,3 @@ def check_input_size(size: int) -> None:
     if size % 32 != 0 or size <= 0:
         raise ConfigurationError(f"input_size {size} must be a positive multiple of 32")
 
-
-def _validate_config(cfg: BackboneConfig) -> None:
-    check_input_size(cfg.input_size)
-    if len(cfg.stage_channels) != 5:
-        raise ConfigurationError(f"need 5 stage channel counts, got {cfg.stage_channels}")
-    if any(c < 1 for c in cfg.stage_channels):
-        raise ConfigurationError(f"stage_channels must be positive, got {cfg.stage_channels}")
-    if list(cfg.stage_channels) != sorted(cfg.stage_channels):
-        raise ConfigurationError(f"stage_channels must be nondecreasing, got {cfg.stage_channels}")
-    if cfg.in_channels < 1:
-        raise ConfigurationError(f"in_channels {cfg.in_channels}")

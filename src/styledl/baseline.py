@@ -21,7 +21,7 @@ def knn_features(images: np.ndarray) -> np.ndarray:
     if images.ndim != 4:
         raise ContractViolation(f"expected [N,C,H,W] images, got {images.shape}")
     thumbs = resize_nearest(images.mean(axis=1), FEATURE_SIDE, FEATURE_SIDE)
-    return thumbs.reshape(len(images), FEATURE_SIDE * FEATURE_SIDE).astype(np.float64)
+    return thumbs.reshape(len(images), FEATURE_SIDE * FEATURE_SIDE)
 
 
 def aaknn_predict(train_images: np.ndarray, train_targets: np.ndarray,

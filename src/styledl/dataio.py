@@ -151,11 +151,6 @@ def _ppm_pixels(path: str | Path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
 
 
-def _check_size(size: int) -> None:
-    if size < 1:
-        raise ContractViolation(f"image size {size}x{size} must be at least 1x1")
-
-
 def _ppm_chw(path: str | Path, size: int | None) -> np.ndarray:
     """The bytes of a P6 file as uint8 [3,H,W], nearest-resampled in bytes
     to size x size when it has another size."""
@@ -228,8 +223,9 @@ def load_pixels(manifest: Manifest, root: str | Path, size: int) -> np.ndarray:
     """Decode every record's image straight into its slot of one uint8
     [N,3,size,size] array, nearest-resampled in bytes where the file has
     another size. At one byte per value this is the form to hold a large
-    corpus in; `x / 255.0` gives the floats `load_images` returns."""
-    _check_size(size)
+    corpus in; `load_images` is this divided by 255.0."""
+    if size < 1:
+        raise ContractViolation(f"image size {size}x{size} must be at least 1x1")
     root = Path(root)
     pixels = np.empty((len(manifest.records), 3, size, size), dtype=np.uint8)
     for slot, record in enumerate(manifest.records):
@@ -238,16 +234,10 @@ def load_pixels(manifest: Manifest, root: str | Path, size: int) -> np.ndarray:
 
 
 def load_images(manifest: Manifest, root: str | Path, size: int) -> np.ndarray:
-    """Floats [N,3,size,size] in [0,1] with the bits of `load_pixels(...) /
-    255.0` and of `load_ppm` at the same size: each image's bytes are
-    resampled, then divided straight into their slot. Holds 8 bytes per
-    value; `train` keeps the uint8 pixels and scales one batch at a time."""
-    _check_size(size)
-    root = Path(root)
-    images = np.empty((len(manifest.records), 3, size, size))
-    for slot, record in enumerate(manifest.records):
-        np.divide(_ppm_chw(root / record.image_path, size), 255.0, out=images[slot])
-    return images
+    """Floats [N,3,size,size] in [0,1]: `load_pixels(...) / 255.0`, with the
+    bits of `load_ppm` at the same size. Holds 8 bytes per value; `train`
+    and `evaluate` keep the uint8 pixels and scale one batch at a time."""
+    return load_pixels(manifest, root, size) / 255.0
 
 
 # ------------------------------------------------- adjacency and splits

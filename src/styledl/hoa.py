@@ -74,7 +74,7 @@ def encode_orders(atts: Sequence[Tensor], f3: Callable[[Tensor], Tensor],
 def fpn_fuse(x3: Tensor, x4: Tensor, lateral: Conv1x1) -> Tensor:
     """Upsample the deep map, project to c3 channels, add the shallow map:
     multi-scale content at the shallow resolution, row for row."""
-    up = T.upsample_nearest(x4, x3.shape[2], x3.shape[3])
+    up = T.resample_nearest(x4, x3.shape[2], x3.shape[3])
     return lateral(up) + x3
 
 

@@ -41,7 +41,7 @@ def stack_grams(*maps: Tensor) -> Tensor:
     side = max(m.shape[-1] for m in maps)
     lifted = []
     for m in maps:
-        up = T.upsample_nearest(m, side, side)
+        up = T.resample_nearest(m, side, side)
         lifted.append(up if up.ndim == 4 else up.reshape(up.shape[0], 1, side, side))
     return T.concat(lifted, axis=1)
 

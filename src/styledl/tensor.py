@@ -163,20 +163,16 @@ class Tensor:
 
     # --------------------------------------------------------- reductions
     def sum(self, axis: int | None = None) -> "Tensor":
-        if axis is None:
-            out = self.data.sum()
-
-            def grad_fn(g):
-                _accumulate(self, np.full_like(self.data, float(g)))
-
-            return _result(out, (self,), grad_fn)
-        axis = self._check_axis(axis, "sum")
+        if axis is not None:
+            axis = self._check_axis(axis, "sum")
         out = self.data.sum(axis=axis)
 
-        def grad_fn_ax(g):
-            _accumulate(self, np.broadcast_to(np.expand_dims(g, axis), self.data.shape))
+        def grad_fn(g):
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            _accumulate(self, np.broadcast_to(g, self.data.shape))
 
-        return _result(out, (self,), grad_fn_ax)
+        return _result(out, (self,), grad_fn)
 
     def mean(self, axis: int) -> "Tensor":
         """Mean along one axis; the axis is dropped from the shape."""
@@ -313,31 +309,28 @@ def _spent(g: np.ndarray) -> None:
 
 _recording: contextvars.ContextVar[bool] = contextvars.ContextVar("styledl_recording",
                                                                   default=True)
-
-
-@contextlib.contextmanager
-def no_grad() -> Iterator[None]:
-    """Build no tape for the ops run inside the block; nesting is allowed."""
-    token = _recording.set(False)
-    try:
-        yield
-    finally:
-        _recording.reset(token)
-
-
 _drawing_init: contextvars.ContextVar[bool] = contextvars.ContextVar("styledl_drawing_init",
                                                                     default=True)
 
 
 @contextlib.contextmanager
-def skip_init() -> Iterator[None]:
-    """Leave the weights that ``he_normal`` makes inside the block
-    uninitialized; nesting is allowed."""
-    token = _drawing_init.set(False)
+def _switched_off(flag: contextvars.ContextVar[bool]) -> Iterator[None]:
+    token = flag.set(False)
     try:
         yield
     finally:
-        _drawing_init.reset(token)
+        flag.reset(token)
+
+
+def no_grad() -> contextlib.AbstractContextManager[None]:
+    """Build no tape for the ops run inside the block; nesting is allowed."""
+    return _switched_off(_recording)
+
+
+def skip_init() -> contextlib.AbstractContextManager[None]:
+    """Leave the weights that ``he_normal`` makes inside the block
+    uninitialized; nesting is allowed."""
+    return _switched_off(_drawing_init)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
@@ -732,14 +725,6 @@ def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
         _accumulate(x, gx.reshape(x.data.shape))
 
     return _result(out, (x,), grad_fn)
-
-
-def upsample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Nearest-neighbour upsampling; refuses to shrink."""
-    h, w = x.data.shape[-2:]
-    if out_h < h or out_w < w:
-        raise ContractViolation(f"upsample from {h}x{w} to {out_h}x{out_w} would shrink")
-    return resample_nearest(x, out_h, out_w)
 
 
 # ------------------------------------------------------- shape assembly

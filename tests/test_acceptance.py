@@ -104,7 +104,7 @@ def test_c02_gradient_integrity():
               r.standard_normal((1, 2, 4, 4)), r.standard_normal((2, 2, 1, 1)))
     gradcheck(lambda x, g, b: T.layer_norm(x, g, b),
               r.standard_normal((2, 3, 2, 2)), r.random(3) + 0.5, r.standard_normal(3))
-    gradcheck(lambda a: T.upsample_nearest(a, 4, 4), r.standard_normal((1, 2, 2, 2)))
+    gradcheck(lambda a: T.resample_nearest(a, 4, 4), r.standard_normal((1, 2, 2, 2)))
     gradcheck(lambda a: T.resample_nearest(a, 2, 2), r.standard_normal((1, 2, 4, 4)))
     gradcheck(lambda a, b: T.concat([a, b], axis=1),
               r.standard_normal((2, 3)), r.standard_normal((2, 2)))

@@ -310,8 +310,8 @@ def test_conv_block_is_one_tape_node():
 
 
 def test_grad_resample():
-    gradcheck(lambda a: T.upsample_nearest(a, 4, 4), rng.standard_normal((1, 2, 2, 2)))
-    gradcheck(lambda a: T.upsample_nearest(a, 4, 6), rng.standard_normal((2, 1, 2, 2)))
+    gradcheck(lambda a: T.resample_nearest(a, 4, 4), rng.standard_normal((1, 2, 2, 2)))
+    gradcheck(lambda a: T.resample_nearest(a, 4, 6), rng.standard_normal((2, 1, 2, 2)))
     gradcheck(lambda a: T.resample_nearest(a, 2, 2), rng.standard_normal((1, 2, 4, 4)))
     gradcheck(lambda a: T.resample_nearest(a, 3, 5), rng.standard_normal((1, 1, 4, 4)))
     gradcheck(lambda a: T.resample_nearest(a, 6, 2), rng.standard_normal((1, 2, 3, 4)))
@@ -348,7 +348,7 @@ def test_resample_backward_matches_scatter_add(src, dst):
 def test_upsample_backward_matches_reshape_sum(src, factor):
     r = np.random.default_rng(src[0] * factor[1])
     x = Tensor(r.standard_normal((2, 3) + src), requires_grad=True)
-    out = T.upsample_nearest(x, src[0] * factor[0], src[1] * factor[1])
+    out = T.resample_nearest(x, src[0] * factor[0], src[1] * factor[1])
     g = r.standard_normal(out.shape)
     (out * Tensor(g)).sum().backward()
     want = g.reshape(2, 3, src[0], factor[0], src[1], factor[1]).sum(axis=(3, 5))
@@ -448,6 +448,13 @@ def test_leaf_gradients_own_their_memory():
     x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     x.sum(axis=1).sum().backward()
     assert x.grad.flags.owndata and x.grad.flags.writeable
+    # sum() hands back a read-only broadcast view of g; a transposed leaf
+    # still gets owned, C-ordered ones
+    t = Tensor(rng.standard_normal((3, 4)).T, requires_grad=True)
+    assert not t.data.flags.c_contiguous
+    t.sum().backward()
+    assert t.grad.flags.owndata and t.grad.flags.writeable and t.grad.flags.c_contiguous
+    np.testing.assert_array_equal(t.grad, np.ones((4, 3)))
 
 
 def test_no_closure_writes_into_its_incoming_gradient():
@@ -527,11 +534,6 @@ def test_conv2d_output_shape_floor():
     assert T.conv2d(x, w, stride=2, pad=0).shape == (1, 1, 3, 3)
 
 
-def test_upsample_refuses_shrink():
-    with pytest.raises(ContractViolation):
-        T.upsample_nearest(Tensor(np.ones((1, 1, 4, 4))), 2, 2)
-
-
 def test_item_and_detach():
     t = Tensor(np.array(3.5), requires_grad=True)
     assert t.item() == 3.5
@@ -572,7 +574,7 @@ def _every_op(x, w, b, gamma):
     return [
         img, T.conv2d(x, w, stride=2, pad=1), T.layer_norm(img, gamma, b),
         T.conv_block(x, w, b, gamma, b, 1),
-        T.resample_nearest(img, 3, 3), T.upsample_nearest(img, 8, 8),
+        T.resample_nearest(img, 3, 3), T.resample_nearest(img, 8, 8),
         flat @ flat.transpose(), T.linear(flat, flat.transpose(), Tensor(np.ones(2))),
         img + img, img * 2.0, 1.0 - img, img / 4.0, T.grad_reverse(img),
         T.concat([img, img], axis=1), T.repeat_axis(img.sum(axis=1).reshape(2, 1, 4, 4), 1, 3),
