@@ -25,8 +25,9 @@ class ConvBlock:
     """conv(3x3) -> layer_norm -> relu, strided when it has to downsample.
 
     The three run as one `conv_block` op: one tape node that keeps only
-    the normalized conv output and its own output (and the patch matrix
-    of a strided conv), with the bits of the three ops run in turn.
+    the normalized conv output and its own output, with the bits of the
+    three ops run in turn. The conv keeps no patch matrix at either
+    stride; its backward unfolds again.
     """
 
     def __init__(self, rng: np.random.Generator, cin: int, cout: int, stride: int = 1):

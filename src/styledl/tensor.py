@@ -14,8 +14,8 @@ shapes or a scalar, nothing else; shape problems raise
 
 An op's input arrays must not be written in place between its forward
 and its backward: several backward closures read them instead of saving
-a copy. `mul` and `matmul` read their operands, and a stride-1 `conv2d`
-reads x to form its weight gradient. Nothing in the package writes an op
+a copy. `mul` and `matmul` read their operands, and `conv2d` reads x
+to form its weight gradient. Nothing in the package writes an op
 input in place while a tape is live; `SGD.step` updates the parameters
 in place only after the backward. The one in-place write during a
 forward is `conv_block`'s into the output of the `conv2d` it calls,
@@ -266,9 +266,9 @@ class Tensor:
         free the tape on the way.
 
         The walk takes each op output's gradient closure and gradient off
-        the node before running the closure, so every saved buffer (the
-        patch matrices of strided convs, x_hat, masks) and every
-        intermediate gradient is freed once its last reader has run.
+        the node before running the closure, so every saved buffer (op
+        inputs no other node reads, x_hat, masks) and every intermediate
+        gradient is freed once its last reader has run.
         Afterwards the op outputs hold no .grad and no parents; a second
         backward() through them raises ``ContractViolation``.
         """
@@ -460,25 +460,32 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> n
     return cols.reshape(cin * k * k, bsz * ho * wo)
 
 
-def _col2im(gcols: np.ndarray, xshape, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
-    """Adjoint of `_im2col` for strided convs: scatter-add the patch
-    gradients into an owned channel-major zero buffer [C, B, H+2*pad,
-    W+2*pad] and return the unpadded [B,C,H,W] region as a transposed view
-    of it (the caller's `_accumulate` makes the one copy)."""
-    bsz, cin, h, w = xshape
-    gxt = np.zeros((cin, bsz, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+def _col2im(gcols: np.ndarray, gxt: np.ndarray, k: int, stride: int, ho: int, wo: int) -> None:
+    """Adjoint of `_im2col`: scatter-add the patch gradients
+    [C*k*k, b*ho*wo] into gxt, the padded channel-major gradient
+    [C, b, H+2*pad, W+2*pad] of those b samples (a view of the caller's
+    whole-batch buffer)."""
+    cin, bsz = gxt.shape[:2]
     g6 = gcols.reshape(cin, k, k, bsz, ho, wo)
     for ki in range(k):
         for kj in range(k):
             gxt[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += g6[:, ki, kj]
-    return gxt[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
-# Cap on the bytes of one unfold of the output gradient in a stride-1 conv
-# backward: the batch is unfolded in chunks of whole samples that fit under
-# it (one sample at least). No conv of a 64 px model reaches it; at 128 px
-# the 64 px stride-1 conv's unfold (18.9 MB at batch 8) is split.
-_GCOLS_BYTES = 8 << 20
+# Cap on the bytes of every patch matrix conv2d unfolds, forward and
+# backward: each covers a chunk of whole samples that fits under it (one
+# sample at least, so a sample larger than the cap is unfolded alone).
+# The benchmark peak of a 128 px backbone's training is 42.2 MB at 8 MiB,
+# 36.9 MB at 2 MiB and 36.6 MB at 1 MiB; a smaller cap only adds GEMM calls.
+_UNFOLD_BYTES = 2 << 20
+
+
+def _sample_chunks(bsz: int, sample_bytes: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) ranges of whole samples whose unfold, `sample_bytes` per
+    sample, fits under `_UNFOLD_BYTES`; they cover 0..bsz in order."""
+    step = max(1, _UNFOLD_BYTES // sample_bytes)
+    for lo in range(0, bsz, step):
+        yield lo, min(lo + step, bsz)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
@@ -488,28 +495,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     H' = (H + 2*pad - k) // stride + 1, which is what lets a 3x3
     stride-2 kernel with pad 1 halve an even input exactly.
 
-    The input is unfolded (im2col, padding included) to one
-    [Cin*k*k, B*H'*W'] matrix, so a single GEMM with the [Cout, Cin*k*k]
-    weight covers the whole batch in the forward (Chellapilla et al.,
-    2006). A 1x1 conv is then one transpose copy and one GEMM.
+    The forward unfolds the input (im2col, padding included) into a
+    [Cin*k*k, b*H'*W'] patch matrix for a chunk of b samples, and one GEMM
+    with the [Cout, Cin*k*k] weight writes that chunk's columns of one
+    [Cout, B*H'*W'] output (Chellapilla et al., 2006). The chunks are as
+    large as `_UNFOLD_BYTES` allows, so a small conv unfolds its whole
+    batch at once. A split leaves each output column the same dot product
+    over Cin*k*k, and the tests check that it keeps the bits of an unsplit
+    forward. A 1x1 conv is then one transpose copy and one GEMM. Each patch matrix is dropped as
+    soon as its GEMM is done, so the tape holds only x and w for a conv of
+    either stride: the backward unfolds again, chunked under the same cap.
 
-    A stride-1 conv drops that matrix after the forward GEMM, so the tape
-    holds only x for it. Its backward unfolds the output gradient, padded
-    by k-1-pad (cropped when that is negative), into gcols
-    [Cout*k*k, b*H*W] for a chunk of b samples, and takes both gradients
-    from it (Dumoulin & Visin, 2016): the input gradient is the
-    correlation of that padded gradient with the spatially flipped kernel
-    whose in and out channels are swapped, `wf @ gcols`; the weight
-    gradient is `x_cm @ gcols.T` with x in channel-major order
+    A stride-1 backward unfolds the output gradient, padded by k-1-pad
+    (cropped when that is negative), into gcols [Cout*k*k, b*H*W] and
+    takes both gradients from it (Dumoulin & Visin, 2016): the input
+    gradient is the correlation of that padded gradient with the spatially
+    flipped kernel whose in and out channels are swapped, `wf @ gcols`;
+    the weight gradient is `x_cm @ gcols.T` with x in channel-major order
     [Cin, b*H*W], which gives the flipped and transposed kernel gradient.
-    The chunks are as large as `_GCOLS_BYTES` allows, so a small conv
-    unfolds its whole batch at once. Each chunk writes its columns of one
-    channel-major input gradient [Cin, B, H, W], handed over as a
-    transposed view, and the weight gradient is summed over the chunks;
-    a split therefore changes only the weight gradient's summation order.
-    A strided conv keeps its patch matrix for the weight gradient and
-    scatter-adds the patch gradients back with `_col2im`. The bias
-    gradient sums g over batch and space.
+    A strided backward unfolds x again for the weight gradient,
+    `g_cm @ cols.T`, and scatter-adds the patch gradients `wm.T @ g_cm`
+    into one padded channel-major input gradient with `_col2im`
+    (recomputing the unfold instead of storing it: Chen et al., 2016).
+    Either way each chunk writes its own samples of one channel-major
+    input gradient [Cin, B, H, W], handed over as a transposed view, and
+    the weight gradient is summed over the chunks; a split therefore
+    changes only the weight gradient's summation order. The bias gradient
+    sums g over batch and space.
     """
     x, w = _coerce(x), _coerce(w)
     if x.data.ndim != 4:
@@ -528,11 +540,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise ContractViolation(f"conv2d bias shape {b.shape}, expected ({cout},)")
     ho = (h + 2 * pad - k) // stride + 1
     wo = (wid + 2 * pad - k) // stride + 1
-    cols = _im2col(x.data, k, stride, pad, ho, wo)
+    hwo = ho * wo
+    x_chunks = list(_sample_chunks(bsz, cin * k * k * hwo * 8))
     wm = w.data.reshape(cout, cin * k * k)
-    out = wm @ cols
-    if stride == 1:
-        cols = None  # the backward derives both gradients from the unfolded g
+    out = np.empty((cout, bsz * hwo), dtype=np.float64)
+    for lo, hi in x_chunks:
+        np.matmul(wm, _im2col(x.data[lo:hi], k, stride, pad, ho, wo), out=out[:, lo * hwo:hi * hwo])
     if b is not None:
         out += b.data[:, None]
     parents = (x, w) if b is None else (x, w, b)
@@ -540,23 +553,29 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     def grad_fn(g):
         if b is not None and b.requires_grad:
             _accumulate(b, np.einsum("bchw->c", g))
-        if stride > 1:
-            g2 = g.transpose(1, 0, 2, 3).reshape(cout, bsz * ho * wo)
-            if w.requires_grad:
-                _accumulate(w, (g2 @ cols.T).reshape(w.data.shape))
-            if x.requires_grad:
-                _accumulate(x, _col2im(wm.T @ g2, x.data.shape, k, stride, pad, ho, wo))
-            return
         if not (x.requires_grad or w.requires_grad):
             return
+        gw = None
+        if stride > 1:
+            if x.requires_grad:
+                gxt = np.zeros((cin, bsz, h + 2 * pad, wid + 2 * pad), dtype=np.float64)
+            for lo, hi in x_chunks:
+                g_cm = g[lo:hi].transpose(1, 0, 2, 3).reshape(cout, (hi - lo) * hwo)
+                if w.requires_grad:
+                    part = g_cm @ _im2col(x.data[lo:hi], k, stride, pad, ho, wo).T
+                    gw = part if gw is None else gw + part
+                if x.requires_grad:
+                    _col2im(wm.T @ g_cm, gxt[:, lo:hi], k, stride, ho, wo)
+            if x.requires_grad:
+                _accumulate(x, gxt[:, :, pad:pad + h, pad:pad + wid].transpose(1, 0, 2, 3))
+            if w.requires_grad:
+                _accumulate(w, gw.reshape(w.data.shape))
+            return
         hw = h * wid
-        chunk = max(1, _GCOLS_BYTES // (cout * k * k * hw * 8))
         if x.requires_grad:
             wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
             gx_cm = np.empty((cin, bsz * hw), dtype=np.float64)
-        gw = None
-        for lo in range(0, bsz, chunk):
-            hi = min(lo + chunk, bsz)
+        for lo, hi in _sample_chunks(bsz, cout * k * k * hw * 8):
             gcols = _im2col(g[lo:hi], k, 1, k - 1 - pad, h, wid)
             if x.requires_grad:
                 np.matmul(wf, gcols, out=gx_cm[:, lo * hw:hi * hw])
@@ -647,8 +666,8 @@ def conv_block(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     The conv runs through the public `conv2d`; its output is private to
     this op, so it is normalized in place into x_hat, and the output is
     masked in place (`out *= out > 0`, the bits of `x * mask`). The tape
-    holds x_hat and the output, plus what the conv's own closure keeps;
-    the node's parents are the conv's plus gamma and beta. The backward
+    holds x_hat and the output, plus the conv's x and w, which its own
+    closure reads; the node's parents are the conv's plus gamma and beta. The backward
     takes the mask again from the output, masks the incoming gradient
     into a new buffer, runs the layer-norm backward in place on it and
     hands the result to the conv's closure. This is the memory trade of

@@ -1,4 +1,5 @@
-"""Shared test helpers: central-difference gradient checking.
+"""Shared test helpers: central-difference gradient checking, and a walk
+of the tape with a guard on the gradients its closures are handed.
 
 The numeric oracle never touches the autograd graph: it re-runs the
 forward on perturbed plain arrays, so agreement really does cross-check
@@ -74,3 +75,37 @@ def away_from_kinks(x, margin=0.05):
 
 def random_simplex(rng, n, c):
     return rng.dirichlet(np.ones(c), size=n)
+
+
+def tape(loss):
+    """Every op output reachable from loss, the loss included."""
+    nodes, stack, seen = [], [loss], {id(loss)}
+    while stack:
+        t = stack.pop()
+        if t._grad_fn is not None:
+            nodes.append(t)
+        for p in t._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return nodes
+
+
+def guard_incoming_gradients(loss):
+    """Wrap the gradient closure of every node on loss's tape. Returns
+    (calls, written), filled by the backward: each closure run, and the
+    qualname of each one that wrote into the g it was handed."""
+    calls, written = [], []
+
+    def checked(fn):
+        def run(g):
+            before = g.copy()
+            fn(g)
+            calls.append(fn)
+            if not np.array_equal(g, before):
+                written.append(fn.__qualname__)
+        return run
+
+    for node in tape(loss):
+        node._grad_fn = checked(node._grad_fn)
+    return calls, written

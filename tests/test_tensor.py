@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import styledl.tensor as T
-from conftest import away_from_kinks, gradcheck
+from conftest import away_from_kinks, gradcheck, guard_incoming_gradients, tape
 from styledl.errors import ConfigurationError, ContractViolation, TrainingError
 from styledl.layers import ConvBlock
 from styledl.losses import pred_loss, total_loss
@@ -182,44 +182,49 @@ def test_conv2d_one_tracked_operand_matches_loop_reference(k, stride, pad, track
     assert got.flags.c_contiguous and untracked.grad is None and b.grad is None
 
 
-def test_stride1_conv_keeps_no_patch_matrix():
-    """A stride-1 conv's tape holds x and w, which the caller holds anyway,
-    and no [Cin*9, B*H*W] patch matrix (9x the input here)."""
+def test_conv_keeps_no_patch_matrix():
+    """A conv's tape holds x and w, which the caller holds anyway, and no
+    [Cin*9, B*H'*W'] patch matrix (9x the input at stride 1, 2.25x at
+    stride 2), at either stride."""
     r = np.random.default_rng(4)
     x = Tensor(r.standard_normal((8, 8, 32, 32)), requires_grad=True)
     w = Tensor(r.standard_normal((8, 8, 3, 3)), requires_grad=True)
     b = Tensor(r.standard_normal(8), requires_grad=True)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = T.conv2d(x, w, b, stride=1, pad=1)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held <= out.data.nbytes + 64 * 1024, (held, x.data.nbytes)
+    for stride in (1, 2):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, b, stride=stride, pad=1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= out.data.nbytes + 64 * 1024, (stride, held, x.data.nbytes)
 
 
-def test_stride1_conv_split_unfold_matches_loop_reference(monkeypatch):
-    """A backward whose gradient unfold exceeds the cap runs in batch
-    chunks (3 + 1 samples here) and still matches the loops; the input
-    gradient has the bits of an unsplit backward."""
-    assert 4 * 8 * 9 * 64 * 64 * 8 > T._GCOLS_BYTES >= 3 * 8 * 9 * 64 * 64 * 8
+@pytest.mark.parametrize("stride, side", [(1, 32), (2, 64)])
+def test_conv_split_unfold_matches_loop_reference(monkeypatch, stride, side):
+    """A conv whose unfold exceeds the cap runs in batch chunks (3 + 1
+    samples here, forward and backward) and still matches the loops; the
+    output and the input gradient have the bits of an unsplit run."""
+    hwo = (side // stride) ** 2
+    assert list(T._sample_chunks(4, 8 * 9 * hwo * 8)) == [(0, 3), (3, 4)]
     r = np.random.default_rng(13)
-    x_data, w_data, b_data = (r.standard_normal((4, 8, 64, 64)),
+    x_data, w_data, b_data = (r.standard_normal((4, 8, side, side)),
                               r.standard_normal((8, 8, 3, 3)), r.standard_normal(8))
-    proj = r.standard_normal((4, 8, 64, 64))
+    proj = r.standard_normal((4, 8, side // stride, side // stride))
 
-    def grads():
+    def run():
         x, w, b = (Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data))
-        out = T.conv2d(x, w, b, stride=1, pad=1)
+        out = T.conv2d(x, w, b, stride=stride, pad=1)
         (out * Tensor(proj)).sum().backward()
         return out.data, x.grad, w.grad, b.grad
 
-    split = grads()
-    for got, want in zip(split, _conv_reference(x_data, w_data, b_data, 1, 1, proj)):
+    split = run()
+    for got, want in zip(split, _conv_reference(x_data, w_data, b_data, stride, 1, proj)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    monkeypatch.setattr(T, "_GCOLS_BYTES", 1 << 40)
-    whole = grads()
+    monkeypatch.setattr(T, "_UNFOLD_BYTES", 1 << 40)
+    whole = run()
+    np.testing.assert_array_equal(split[0], whole[0])
     np.testing.assert_array_equal(split[1], whole[1])
     np.testing.assert_allclose(split[2], whole[2], rtol=1e-12, atol=1e-12)
 
@@ -305,7 +310,7 @@ def test_conv_block_is_one_tape_node():
     block = ConvBlock(np.random.default_rng(3), 3, 4, stride=2)
     x = Tensor(np.random.default_rng(4).standard_normal((2, 3, 8, 8)), requires_grad=True)
     out = block(x)
-    assert _tape(out) == [out]
+    assert tape(out) == [out]
     assert set(out._parents) == {x, block.w, block.b, block.ln_gamma, block.ln_beta}
 
 
@@ -388,20 +393,6 @@ def test_deep_chain_no_recursion_limit():
 
 
 # -------------------------------------------------------- tape consumption
-def _tape(loss):
-    """Every op output reachable from loss, the loss included."""
-    nodes, stack, seen = [], [loss], {id(loss)}
-    while stack:
-        t = stack.pop()
-        if t._grad_fn is not None:
-            nodes.append(t)
-        for p in t._parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return nodes
-
-
 def test_backward_frees_intermediates_while_the_loss_lives():
     a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     mid = (a * 2.0).relu()
@@ -466,23 +457,11 @@ def test_no_closure_writes_into_its_incoming_gradient():
     out = model.forward(Tensor(r.random((2, 3, 32, 32))))
     loss = total_loss(pred_loss(out.y_e, out.y_emotion, r.dirichlet(np.ones(4), size=2)),
                       model.adversary(out))
-    changed, calls = [], []
-
-    def checked(fn):
-        def run(g):
-            before = g.copy()
-            fn(g)
-            calls.append(fn)
-            if not np.array_equal(g, before):
-                changed.append(fn.__qualname__)
-        return run
-
-    nodes = _tape(loss)
-    for node in nodes:
-        node._grad_fn = checked(node._grad_fn)
+    n_nodes = len(tape(loss))
+    calls, written = guard_incoming_gradients(loss)
     loss.backward()
-    assert len(calls) == len(nodes) > 100
-    assert changed == []
+    assert len(calls) == n_nodes > 100
+    assert written == []
     assert all(t.grad is not None for t in model.parameters().values())
 
 
