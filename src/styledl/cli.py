@@ -84,6 +84,7 @@ def _cmd_rank(args) -> int:
 def _cmd_baseline_knn(args) -> int:
     train_man = dataio.load_manifest(args.train)
     test_man = dataio.load_manifest(args.test)
+    test_man.check_labels(train_man.label_names, "training manifest")
     size = args.size
     train_imgs = dataio.load_images(train_man, Path(args.train).parent, size)
     test_imgs = dataio.load_images(test_man, Path(args.test).parent, size)

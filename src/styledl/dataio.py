@@ -41,6 +41,18 @@ class Manifest:
     def __len__(self) -> int:
         return len(self.records)
 
+    def check_labels(self, names: list[str], source: str) -> None:
+        """Raise ConfigurationError unless `names` (from `source`) are this
+        manifest's labels in the same order: a distribution is scored
+        column by column, so a reordered header would be scored silently
+        against the wrong labels. A manifest without rows scores nothing,
+        so it is held only to the label count, and `evaluate_metrics`
+        reports that it has no samples."""
+        same = names == self.label_names if self.records else len(names) == self.n_labels
+        if not same:
+            raise ConfigurationError(
+                f"manifest labels {self.label_names} differ from the {source}'s {names}")
+
     def distributions(self) -> np.ndarray:
         if not self.records:
             return np.zeros((0, self.n_labels))

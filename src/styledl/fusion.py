@@ -58,8 +58,6 @@ def _flatten_spatial(x: Tensor) -> Tensor:
 def pooled_scores(features: Tensor, lam: float) -> Tensor:
     """Softmax over labels of mean + lam * max along the trailing feature
     axis of [B, C, D]. `lam` is finite and >= 0, which TrainConfig checks."""
-    if features.ndim != 3:
-        raise ContractViolation(f"pooling expects [B,C,D], got {features.shape}")
     logits = features.mean(axis=2) + lam * features.max(axis=2)
     return logits.softmax(axis=1)
 

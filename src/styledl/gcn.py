@@ -16,12 +16,7 @@ from .tensor import Tensor
 
 def static_gcn(a_static: Tensor | np.ndarray, features: Tensor, w_s: Tensor) -> Tensor:
     """LeakyReLU(A_s @ F @ W_s) with A_s shared across the batch."""
-    a = a_static if isinstance(a_static, Tensor) else Tensor(a_static)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolation(f"static adjacency must be square, got {a.shape}")
-    if features.ndim != 3:
-        raise ContractViolation(f"static GCN expects [B,C,D] features, got {features.shape}")
-    return T.matmul(T.matmul(a, features), w_s).leaky_relu(0.2)
+    return T.matmul(T.matmul(a_static, features), w_s).leaky_relu(0.2)
 
 
 def dynamic_adjacency(f_sgcn: Tensor, w_a: Tensor) -> Tensor:
@@ -32,8 +27,6 @@ def dynamic_adjacency(f_sgcn: Tensor, w_a: Tensor) -> Tensor:
     if f_sgcn.ndim != 3:
         raise ContractViolation(f"expected [B,C,D'], got {f_sgcn.shape}")
     b, c, width = f_sgcn.shape
-    if w_a.shape != (2 * width, c):
-        raise ContractViolation(f"W_A {w_a.shape}, expected {(2 * width, c)}")
     global_desc = f_sgcn.mean(axis=1).reshape(b, 1, width)
     joined = T.concat([f_sgcn, T.repeat_axis(global_desc, 1, c)], axis=2)
     return T.matmul(joined, w_a).sigmoid()
@@ -41,10 +34,6 @@ def dynamic_adjacency(f_sgcn: Tensor, w_a: Tensor) -> Tensor:
 
 def dynamic_gcn(a_dynamic: Tensor, f_sgcn: Tensor, w_d: Tensor) -> Tensor:
     """LeakyReLU(A_d @ F_sgcn @ W_d) with a per-sample adjacency."""
-    if a_dynamic.ndim != 3 or a_dynamic.shape[1] != a_dynamic.shape[2]:
-        raise ContractViolation(f"dynamic adjacency must be [B,C,C], got {a_dynamic.shape}")
-    if f_sgcn.ndim != 3 or f_sgcn.shape[:2] != a_dynamic.shape[:2]:
-        raise ContractViolation(f"features {f_sgcn.shape} vs adjacency {a_dynamic.shape}")
     return T.matmul(T.matmul(a_dynamic, f_sgcn), w_d).leaky_relu(0.2)
 
 

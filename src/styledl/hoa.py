@@ -79,7 +79,13 @@ def fpn_fuse(x3: Tensor, x4: Tensor, lateral: Conv1x1) -> Tensor:
 
 
 class AdversaryHead:
-    """Two dense layers squeezing a flattened stage encoding to 16 dims."""
+    """Two dense layers squeezing a flattened stage encoding to 16 dims.
+
+    `_stage_separation` takes differences of projections, so the `fc2` bias
+    cancels out of the adversary loss and its gradient is zero up to
+    rounding. It is kept only so that existing checkpoints, which store
+    it, still load; checkpoint format v2 can drop it.
+    """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int = 64, out_dim: int = 16):
         self.fc1 = Dense(rng, in_dim, hidden)

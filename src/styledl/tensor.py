@@ -94,9 +94,6 @@ class Tensor:
             raise ContractViolation(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -421,11 +418,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), grad_fn)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b with the bias broadcast over leading axes."""
     out = matmul(x, w)
-    if b is None:
-        return out
     if b.data.ndim != 1 or b.data.shape[0] != out.data.shape[-1]:
         raise ContractViolation(f"linear bias shape {b.shape} vs output {out.shape}")
 
@@ -522,6 +517,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     the weight gradient is summed over the chunks; a split therefore
     changes only the weight gradient's summation order. The bias gradient
     sums g over batch and space.
+
+    The two backward algorithms stay apart on purpose. Running the strided
+    one for stride 1 too cost 13.7% of `train.samples_per_s` on the
+    `train-full` benchmark and 9.7% on `train-backbone-128` (medians of 3
+    and 2 alternating runs against the split code). The stride-1 backward
+    takes both gradients unconditionally: every stride-1 conv in the model
+    has x and w tracked, and `_accumulate` drops a gradient nothing tracks.
+    The strided one checks each, since the stem's input is an image.
     """
     x, w = _coerce(x), _coerce(w)
     if x.data.ndim != 4:
@@ -572,21 +575,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                 _accumulate(w, gw.reshape(w.data.shape))
             return
         hw = h * wid
-        if x.requires_grad:
-            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-            gx_cm = np.empty((cin, bsz * hw), dtype=np.float64)
+        wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+        gx_cm = np.empty((cin, bsz * hw), dtype=np.float64)
         for lo, hi in _sample_chunks(bsz, cout * k * k * hw * 8):
             gcols = _im2col(g[lo:hi], k, 1, k - 1 - pad, h, wid)
-            if x.requires_grad:
-                np.matmul(wf, gcols, out=gx_cm[:, lo * hw:hi * hw])
-            if w.requires_grad:
-                part = x.data[lo:hi].transpose(1, 0, 2, 3).reshape(cin, (hi - lo) * hw) @ gcols.T
-                gw = part if gw is None else gw + part
+            np.matmul(wf, gcols, out=gx_cm[:, lo * hw:hi * hw])
+            part = x.data[lo:hi].transpose(1, 0, 2, 3).reshape(cin, (hi - lo) * hw) @ gcols.T
+            gw = part if gw is None else gw + part
             del gcols  # freed before the next chunk's unfold
-        if x.requires_grad:
-            _accumulate(x, gx_cm.reshape(cin, bsz, h, wid).transpose(1, 0, 2, 3))
-        if w.requires_grad:
-            _accumulate(w, gw.reshape(cin, cout, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        _accumulate(x, gx_cm.reshape(cin, bsz, h, wid).transpose(1, 0, 2, 3))
+        _accumulate(w, gw.reshape(cin, cout, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
     out = np.ascontiguousarray(out.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3))
     return _result(out, parents, grad_fn)
@@ -714,7 +712,9 @@ def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
     order a reshape-sum over each block adds in, at a fraction of its
     cost; otherwise the two differ in the last bits. A whole-factor
     downsample (which picks distinct cells) assigns into zeros, and any
-    other ratio scatter-adds with `np.add.at`.
+    other ratio scatter-adds with `np.add.at`. The two whole-factor
+    branches stay because `np.add.at` is 5-10x slower at the model's
+    shapes.
     """
     if x.data.ndim < 2:
         raise ContractViolation(f"resample needs spatial trailing axes, got {x.shape}")

@@ -403,6 +403,8 @@ def predict_batch(model: EmotionDistributionNet, images: np.ndarray,
     ``no_grad()``: no tape is built, so each batch's intermediates are
     freed as soon as it is done.
     """
+    if batch_size < 1:
+        raise ContractViolation(f"predict_batch batch_size must be >= 1, got {batch_size}")
     outputs = []
     with no_grad():
         for start in range(0, len(images), batch_size):
@@ -414,10 +416,9 @@ def predict_batch(model: EmotionDistributionNet, images: np.ndarray,
 
 
 def evaluate(checkpoint: Checkpoint, manifest: Manifest, root: str | Path) -> MetricReport:
-    """Metric report of the checkpointed model over a manifest."""
-    if manifest.n_labels != checkpoint.n_labels:
-        raise ConfigurationError(
-            f"manifest has {manifest.n_labels} labels, checkpoint {checkpoint.n_labels}")
+    """Metric report of the checkpointed model over a manifest, whose labels
+    must be the checkpoint's in the same order."""
+    manifest.check_labels(checkpoint.label_names, "checkpoint")
     model = checkpoint.build_model()
     pixels = load_pixels(manifest, root, checkpoint.config.input_size)
     preds = predict_batch(model, pixels)

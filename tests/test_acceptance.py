@@ -209,7 +209,7 @@ def test_c05_adversary_contract():
         if reverse:
             stacked = T.concat([a, b], axis=0)
             # stage 4 gets a constant copy, so a and b see stage 3's gradient only
-            loss = adversary_loss(stacked, stacked.detach(), real, real, 2)
+            loss = adversary_loss(stacked, Tensor(stacked.data), real, real, 2)
         else:
             proj = [real(t.reshape(2, -1)) for t in (a, b)]
             d01 = proj[0] - proj[1]

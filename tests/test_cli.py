@@ -155,6 +155,25 @@ def test_baseline_knn_rejects_size_below_one(workdir, capsys, size):
     assert captured.err.count("\n") == 1, captured.err
 
 
+def test_baseline_knn_rejects_reordered_test_labels(workdir, tmp_path, capsys):
+    _, data, _ = workdir
+    lines = (data / "manifest.txt").read_text().splitlines()
+    names = lines[0][len("#labels: "):].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    # the same images and targets with the header and every row reversed
+    reordered = tmp_path / "manifest.txt"
+    reordered.write_text("\n".join(["#labels: " + ",".join(names[::-1])]
+                                   + [",".join([str(data / row[0])] + row[:0:-1]) for row in rows])
+                         + "\n")
+    report = tmp_path / "report.json"
+    assert main(["baseline-knn", "--train", str(data / "manifest.txt"), "--test", str(reordered),
+                 "--size", "32", "--json", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: manifest labels") and captured.err.count("\n") == 1
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "baseline-knn"])
 def test_empty_test_manifest_fails_without_a_report(workdir, tmp_path, capsys, command):
     _, data, cfg = workdir

@@ -1,4 +1,5 @@
-"""Every private module-level name of the package is read somewhere in it.
+"""Every private module-level name of the package is read somewhere in it,
+and every public `Tensor` method is read by the package or its tools.
 
 A `_`-prefixed function, class or constant at module level is an internal
 helper; once its last caller is gone it is dead code that still has to be
@@ -6,12 +7,18 @@ read and kept up. This walks the syntax tree of every package module and
 flags each such name that no module of the package reads, either as a bare
 name or as a module attribute (``tensor._im2col``). Dunder names such as
 ``__all__`` are not helpers and are skipped.
+
+A public `Tensor` method that only the tests call is dead the same way. It
+counts as read when `src/`, `bench/` or `scripts/` names it as an
+attribute, a bare name or a string constant: the benchmark tracer patches
+methods by name (``("reshape", "shape")``).
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "styledl").glob("*.py"))
+USERS = sorted(p for d in ("src", "bench", "scripts") for p in (ROOT / d).rglob("*.py"))
 
 
 def _private_defs(tree: ast.Module) -> list[str]:
@@ -26,13 +33,15 @@ def _private_defs(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
-def _reads(tree: ast.Module) -> set[str]:
+def _reads(tree: ast.Module, strings: bool = False) -> set[str]:
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
     return read
 
 
@@ -58,3 +67,36 @@ def test_unread_private_name_is_caught():
         "b": "def _shared():\n    return 2\n\ndef _also_dead(x):\n    x._also_dead = 1\n",
     }
     assert unread_private_names(sources) == ["a._orphan", "a._dead", "a._Gone", "b._also_dead"]
+
+
+def unread_public_methods(class_name: str, sources: dict[str, str]) -> list[str]:
+    """`Class.method` for every public method (properties included) of the
+    class defined in `sources` that no source reads as an attribute, a
+    name or a string constant."""
+    trees = [ast.parse(source) for source in sources.values()]
+    read = set().union(*(_reads(tree, strings=True) for tree in trees))
+    methods = [node.name for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name == class_name
+               for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_")]
+    return [f"{class_name}.{name}" for name in methods if name not in read]
+
+
+def test_no_unread_tensor_methods():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in USERS}
+    assert unread_public_methods("Tensor", sources) == []
+
+
+def test_unread_public_method_is_caught():
+    sources = {
+        "a": ("class Tensor:\n"
+              "    def used(self):\n        return self.patched\n"
+              "    @property\n    def shape(self):\n        return ()\n"
+              "    def patched(self):\n        return 1\n"
+              "    def named(self):\n        return 2\n"
+              "    def dead(self):\n        return 3\n"
+              "    def _private(self):\n        return 4\n"),
+        "b": "import a\nPATCH = ('named',)\nprint(a.Tensor().used(), a.Tensor().shape)\n",
+    }
+    assert unread_public_methods("Tensor", sources) == ["Tensor.dead"]

@@ -159,7 +159,7 @@ def test_adversary_gradient_is_reversed():
         if reverse:
             stacked = T.concat([a, b], axis=0)
             # stage 4 gets a constant copy, so a and b see stage 3's gradient only
-            loss = adversary_loss(stacked, stacked.detach(), head, head, 2)
+            loss = adversary_loss(stacked, Tensor(stacked.data), head, head, 2)
         else:
             flatten = [t.reshape(2, -1) for t in (a, b)]
             projections = [head(f) for f in flatten]

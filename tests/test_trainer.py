@@ -10,8 +10,8 @@ import pytest
 import styledl.model as model_mod
 import styledl.training as train_mod
 from styledl.cli import main
-from styledl.dataio import load_images, load_pixels, synth_generate
-from styledl.errors import ConfigurationError, FormatError, TrainingError
+from styledl.dataio import DatasetRecord, Manifest, load_images, load_pixels, synth_generate
+from styledl.errors import ConfigurationError, ContractViolation, FormatError, TrainingError
 from styledl.losses import pred_loss, total_loss
 from styledl.metrics import evaluate_metrics
 from styledl.model import ABLATION_PRESETS
@@ -411,6 +411,25 @@ def test_evaluate_label_mismatch(corpus, tmp_path):
                            out_dir=other_root)
     with pytest.raises(ConfigurationError):
         evaluate(ckpt, other, other_root)
+
+
+def test_evaluate_rejects_reordered_labels(corpus):
+    # the same images and targets with the header and every row reversed
+    manifest, root = corpus
+    ckpt, _ = train(_fast_cfg(epochs=1), manifest, root)
+    reordered = Manifest(manifest.label_names[::-1],
+                         [DatasetRecord(r.image_path, r.distribution[::-1])
+                          for r in manifest.records])
+    with pytest.raises(ConfigurationError, match="differ"):
+        evaluate(ckpt, reordered, root)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_batch_rejects_batch_size_below_one(corpus, batch_size):
+    manifest, root = corpus
+    model = build_model(_fast_cfg(), manifest.n_labels)
+    with pytest.raises(ContractViolation, match="batch_size"):
+        predict_batch(model, load_pixels(manifest, root, 32)[:2], batch_size=batch_size)
 
 
 def test_evaluate_produces_report(corpus):
