@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .layers import ConvBlock
+from .layers import ConvBlock, conv_chain
 from .tensor import Tensor
 
 
@@ -25,14 +25,19 @@ class BackboneConfig:
 
 
 class Stage:
-    """One halving stage: conv(s2)+LN+relu then conv(s1)+LN+relu."""
+    """One halving stage: conv(s2)+LN+relu then conv(s1)+LN+relu.
+
+    The two blocks run as one two-block `conv_chain`: the tape holds both
+    x_hats and the stage's output, but not the output of `down`, which the
+    backward recomputes from its x_hat.
+    """
 
     def __init__(self, rng: np.random.Generator, cin: int, cout: int):
         self.down = ConvBlock(rng, cin, cout, stride=2)
         self.keep = ConvBlock(rng, cout, cout, stride=1)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.keep(self.down(x))
+        return conv_chain(x, self.down, self.keep)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = self.down.params(f"{prefix}/down")

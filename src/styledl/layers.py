@@ -24,10 +24,10 @@ class Conv1x1:
 class ConvBlock:
     """conv(3x3) -> layer_norm -> relu, strided when it has to downsample.
 
-    The three run as one `conv_block` op: one tape node that keeps only
-    the normalized conv output and its own output, with the bits of the
-    three ops run in turn. The conv keeps no patch matrix at either
-    stride; its backward unfolds again.
+    The three run as a one-block `conv_chain`: one tape node that keeps
+    only the normalized conv output x_hat and its own output, with the
+    bits of the three ops run in turn. The conv keeps no patch matrix at
+    either stride; its backward unfolds again.
     """
 
     def __init__(self, rng: np.random.Generator, cin: int, cout: int, stride: int = 1):
@@ -38,7 +38,7 @@ class ConvBlock:
         self.ln_beta = T.zeros_param(cout)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv_block(x, self.w, self.b, self.ln_gamma, self.ln_beta, self.stride)
+        return conv_chain(x, self)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {
@@ -47,6 +47,13 @@ class ConvBlock:
             f"{prefix}/ln_gamma": self.ln_gamma,
             f"{prefix}/ln_beta": self.ln_beta,
         }
+
+
+def conv_chain(x: Tensor, *blocks: ConvBlock) -> Tensor:
+    """The blocks applied in turn, as one `conv_block` tape node: it keeps
+    each block's x_hat but only the last block's output, and recomputes
+    the inner outputs in the backward."""
+    return T.conv_block(x, *((c.w, c.b, c.ln_gamma, c.ln_beta, c.stride) for c in blocks))
 
 
 class Dense:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractViolation
-from .layers import ConvBlock
+from .layers import ConvBlock, conv_chain
 from .tensor import Tensor
 
 
@@ -47,7 +47,8 @@ def stack_grams(*maps: Tensor) -> Tensor:
 
 
 class InterLayerCorrelation:
-    """Two conv(3x3, stride 2)+LN+relu blocks over the stacked matrices."""
+    """Two conv(3x3, stride 2)+LN+relu blocks over the stacked matrices,
+    run as one two-block `conv_chain`."""
 
     def __init__(self, rng: np.random.Generator, in_channels: int = 3,
                  widths: tuple[int, int] = (16, 32)):
@@ -56,7 +57,7 @@ class InterLayerCorrelation:
         self.out_channels = widths[1]
 
     def __call__(self, stack: Tensor) -> Tensor:
-        return self.block2(self.block1(stack))
+        return conv_chain(stack, self.block1, self.block2)
 
     def params(self, prefix: str = "style") -> dict[str, Tensor]:
         out = self.block1.params(f"{prefix}/cc1")

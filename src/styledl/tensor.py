@@ -15,12 +15,19 @@ shapes or a scalar, nothing else; shape problems raise
 An op's input arrays must not be written in place between its forward
 and its backward: several backward closures read them instead of saving
 a copy. `mul` and `matmul` read their operands, and `conv2d` reads x
-to form its weight gradient. Nothing in the package writes an op
-input in place while a tape is live; `SGD.step` updates the parameters
-in place only after the backward. The one in-place write during a
-forward is `conv_block`'s into the output of the `conv2d` it calls,
-which no other op sees: it normalizes that array into x_hat and masks
-its own output before returning it.
+to form its weight gradient. So no op writes its output in place once
+it is returned, and a parameter changes only after every closure that
+reads it has run. ``backward(on_leaf)`` keeps that rule while it updates
+parameters during the walk: it calls ``on_leaf(t)`` as it pops each
+leaf t that holds a gradient, which happens only after every op output
+computed from t has run its closure, so t's gradient is final and
+nothing left on the tape reads t. ``train()`` passes ``SGD.update``
+there, which updates the parameter and drops its gradient at once, so a
+parameter gradient lives only until the walk pops its parameter;
+``SGD.step`` then updates the parameters the walk did not reach. The
+in-place writes during a forward are `conv_block`'s into the outputs of
+the `conv2d` calls it makes and of its blocks, before any other op sees
+them.
 
 Inside ``with no_grad():`` ops record nothing: outputs get no parents, no
 gradient closure and ``requires_grad == False``, so every intermediate
@@ -258,7 +265,7 @@ class Tensor:
         return _result(np.maximum(self.data, floor), (self,), grad_fn)
 
     # ----------------------------------------------------------- backward
-    def backward(self) -> None:
+    def backward(self, on_leaf: Callable[[Tensor], None] | None = None) -> None:
         """Fill .grad on every tracked leaf reachable from this scalar, and
         free the tape on the way.
 
@@ -268,6 +275,11 @@ class Tensor:
         gradient is freed once its last reader has run.
         Afterwards the op outputs hold no .grad and no parents; a second
         backward() through them raises ``ContractViolation``.
+
+        ``on_leaf``, when given, is called with each leaf that holds a
+        gradient as the walk pops it: every closure that reads the leaf
+        has run by then, so it may change the leaf's data and drop its
+        gradient (``SGD.update``).
         """
         if self.data.size != 1:
             raise ContractViolation(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -291,6 +303,8 @@ class Tensor:
             node = order.pop()
             fn = node._grad_fn
             if fn is None:
+                if on_leaf is not None and node.grad is not None:
+                    on_leaf(node)
                 continue
             g = node.grad
             node.grad = None
@@ -353,7 +367,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g if t._parents else np.array(g, dtype=np.float64, order="C")
+        t.grad = g if t._grad_fn is not None else np.array(g, dtype=np.float64, order="C")
     else:
         # out of place: the stored gradient may alias another node's
         t.grad = t.grad + g
@@ -575,14 +589,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                 _accumulate(w, gw.reshape(w.data.shape))
             return
         hw = h * wid
-        wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+        wf = None
         gx_cm = np.empty((cin, bsz * hw), dtype=np.float64)
         for lo, hi in _sample_chunks(bsz, cout * k * k * hw * 8):
             gcols = _im2col(g[lo:hi], k, 1, k - 1 - pad, h, wid)
-            np.matmul(wf, gcols, out=gx_cm[:, lo * hw:hi * hw])
             part = x.data[lo:hi].transpose(1, 0, 2, 3).reshape(cin, (hi - lo) * hw) @ gcols.T
             gw = part if gw is None else gw + part
+            del part
+            if wf is None:  # made once x's channel-major copy is gone
+                wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+            np.matmul(wf, gcols, out=gx_cm[:, lo * hw:hi * hw])
             del gcols  # freed before the next chunk's unfold
+        del wf
         _accumulate(x, gx_cm.reshape(cin, bsz, h, wid).transpose(1, 0, 2, 3))
         _accumulate(w, gw.reshape(cin, cout, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
@@ -609,9 +627,15 @@ def _ln_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, eps: float,
     var = np.einsum("bchw,bchw->b", xhat, xhat) / n
     inv_std = (1.0 / np.sqrt(var + eps)).reshape(bsz, 1, 1, 1)
     xhat *= inv_std
+    return xhat, inv_std, _ln_affine(xhat, gamma, beta)
+
+
+def _ln_affine(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """x_hat * gamma + beta per channel, into a new buffer."""
+    c = xhat.shape[1]
     y = xhat * gamma.data.reshape(1, c, 1, 1)
     y += beta.data.reshape(1, c, 1, 1)
-    return xhat, inv_std, y
+    return y
 
 
 def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gamma: Tensor,
@@ -656,34 +680,72 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return _result(out, (x, gamma, beta), grad_fn)
 
 
-def conv_block(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
-               stride: int) -> Tensor:
-    """relu(layer_norm(conv2d(x, w, b, stride, pad=1), gamma, beta)) as one
-    tape node, with the bits of the three ops run one after another.
+def conv_block(x: Tensor, *blocks: tuple[Tensor, Tensor, Tensor, Tensor, int]) -> Tensor:
+    """A chain of blocks relu(layer_norm(conv2d(x, w, b, stride, pad=1),
+    gamma, beta)), each given as (w, b, gamma, beta, stride), as one tape
+    node, with the bits of the ops run one after another.
 
-    The conv runs through the public `conv2d`; its output is private to
-    this op, so it is normalized in place into x_hat, and the output is
-    masked in place (`out *= out > 0`, the bits of `x * mask`). The tape
-    holds x_hat and the output, plus the conv's x and w, which its own
-    closure reads; the node's parents are the conv's plus gamma and beta. The backward
-    takes the mask again from the output, masks the incoming gradient
-    into a new buffer, runs the layer-norm backward in place on it and
-    hands the result to the conv's closure. This is the memory trade of
-    in-place activated batch norm (Rota Bulo et al., 2018).
+    Each conv runs through the public `conv2d`; its output is private to
+    this op, so it is normalized in place into x_hat, and each block's
+    output is masked in place (`out *= out > 0`, the bits of `x * mask`).
+    The tape holds every block's x_hat and only the last block's output,
+    plus what each conv's own closure reads: its weight, and its input,
+    whose array an inner block drops once the next conv has run. The
+    node's parents are x and every block's four parameters.
+
+    The backward walks the blocks from the last. It masks the incoming
+    gradient into a new buffer, runs the layer-norm backward in place on
+    it, drops that block's x_hat and hands the result to the conv's
+    closure. Before an inner block's output is read, by the next conv's
+    closure and for the block's mask, it is recomputed from its x_hat as
+    relu(x_hat * gamma + beta) with the forward's own ops, so it has the
+    forward's bits; the gradient that closure hands back is then masked
+    into the recomputed output's buffer. Storing x_hat and recomputing the
+    cheap affine and relu is the memory trade of in-place activated batch
+    norm (Rota Bulo et al., 2018) and of recomputed checkpoints (Chen et
+    al., 2016; Pleiss et al., 2017).
     """
     x = _coerce(x)
-    conv = conv2d(x, w, b, stride=stride, pad=1)
-    conv_grad = conv._grad_fn
-    xhat, inv_std, out = _ln_forward(conv.data, gamma, beta, 1e-6, out=conv.data)
-    out *= out > 0
+    parents = [x]
+    for w, b, gamma, beta, _ in blocks:
+        parents += (w, b, gamma, beta)
+    track = _recording.get() and any(p.requires_grad for p in parents)
+    links = []  # per block: (conv input, conv closure, inv_std, x_hat, gamma, beta)
+    inp = x
+    for i, (w, b, gamma, beta, stride) in enumerate(blocks):
+        if i:
+            # the previous block's output as a private op output, whose
+            # gradient `_accumulate` leaves as the conv's closure hands it
+            inp = Tensor(out, requires_grad=track)
+            inp._grad_fn = _spent
+        conv = conv2d(inp, w, b, stride=stride, pad=1)
+        if i:
+            inp.data = None  # the backward recomputes it
+        xhat, inv_std, out = _ln_forward(conv.data, gamma, beta, 1e-6, out=conv.data)
+        out *= out > 0
+        if track:
+            links.append((inp, conv._grad_fn, inv_std, xhat, gamma, beta))
+        del conv, xhat  # untracked, the next block runs without this x_hat
 
     def grad_fn(g):
         gm = g * (out > 0)
-        _ln_backward(gm, xhat, inv_std, gamma, beta, gm if conv_grad is not None else None)
-        if conv_grad is not None:
-            conv_grad(gm)
+        while links:
+            inp, conv_grad, inv_std, xhat, gamma, beta = links.pop()
+            _ln_backward(gm, xhat, inv_std, gamma, beta, gm if conv_grad is not None else None)
+            del xhat
+            if links:  # no local may keep the previous block's x_hat
+                inp.data = _ln_affine(*links[-1][3:])
+                inp.data *= inp.data > 0
+            if conv_grad is not None:
+                conv_grad(gm)
+            del gm
+            if links:
+                # masked into the recomputed output's buffer, which keeps
+                # the C order that `g * mask` gives
+                gm = np.multiply(inp.grad, inp.data > 0, out=inp.data)
+                inp.grad = inp.data = None
 
-    return _result(out, (x, w, b, gamma, beta), grad_fn)
+    return _result(out, tuple(parents), grad_fn)
 
 
 # ------------------------------------------------------------- resampling
@@ -696,9 +758,8 @@ def resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Nearest-neighbour resample of an array [...,H,W]; row i copies row floor(i * H / out_h)."""
     if out_h < 1 or out_w < 1:
         raise ContractViolation(f"nearest resample size {out_h}x{out_w} must be at least 1x1")
-    rows = nearest_index(img.shape[-2], out_h)
-    cols = nearest_index(img.shape[-1], out_w)
-    return img[..., rows[:, None], cols[None, :]]
+    rows = np.take(img, nearest_index(img.shape[-2], out_h), axis=-2)
+    return np.take(rows, nearest_index(img.shape[-1], out_w), axis=-1)
 
 
 def resample_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -790,12 +851,13 @@ def repeat_axis(x: Tensor, axis: int, times: int) -> Tensor:
 
 
 def grad_reverse(x: Tensor) -> Tensor:
-    """Identity forward; multiplies the incoming gradient by -1."""
+    """Identity forward; multiplies the incoming gradient by -1. The
+    output shares x's array: no op writes an op output in place."""
 
     def grad_fn(g):
         _accumulate(x, -g)
 
-    return _result(x.data.copy(), (x,), grad_fn)
+    return _result(x.data, (x,), grad_fn)
 
 
 # ----------------------------------------------------- parameters and SGD
@@ -824,6 +886,10 @@ class SGD:
     Update per parameter p with gradient g:
         v <- momentum * v + g + weight_decay * p
         p <- p - lr * v
+
+    A parameter is updated either by `update`, during the backward walk
+    (``loss.backward(opt.update)``), or by the `step` that ends the train
+    step; both run the same operations, so the results are the same bits.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.0,
@@ -837,19 +903,39 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = {k: np.zeros_like(t.data) for k, t in self.params.items()}
+        self._keys = {id(t): k for k, t in self.params.items()}
+        self._updated: set[str] = set()
 
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None
 
+    def update(self, t: Tensor) -> None:
+        """Update one parameter now and drop its gradient; the next `step`
+        leaves it alone. Meant as ``Tensor.backward``'s ``on_leaf``, which
+        calls it once nothing on the tape reads t any more; a leaf that is
+        not one of the parameters keeps its gradient."""
+        key = self._keys.get(id(t))
+        if key is None:
+            return
+        self._apply(key, t)
+        t.grad = None
+        self._updated.add(key)
+
     def step(self) -> None:
-        """One update, in place on each velocity and parameter array; the
+        """Update every parameter that `update` has not updated since the
+        last step, in place on each velocity and parameter array; the
         operation order is that of the formula above, so results are the
         same bits as computing it out of place."""
         for key, t in self.params.items():
-            v = self.velocity[key]
-            v *= self.momentum
-            if t.grad is not None:
-                v += t.grad
-            v += self.weight_decay * t.data
-            t.data -= self.lr * v
+            if key not in self._updated:
+                self._apply(key, t)
+        self._updated.clear()
+
+    def _apply(self, key: str, t: Tensor) -> None:
+        v = self.velocity[key]
+        v *= self.momentum
+        if t.grad is not None:
+            v += t.grad
+        v += self.weight_decay * t.data
+        t.data -= self.lr * v

@@ -40,9 +40,11 @@ def test_untraced_workload_runs_without_failures(workloads, tmp_path, name):
     _tiny_run(workloads, tmp_path, name, trace=False)
 
 
-@pytest.mark.parametrize("name", ["train-full", "predict"])
+@pytest.mark.parametrize("name", ["train-full", "train-backbone-128", "predict"])
 def test_traced_workload_runs_without_failures(workloads, tmp_path, name):
     """The traced run checks that traced and untraced results are the same
     bits, that the tracer restores every name it patched, and that every
-    3x3 conv shape it saw has a row; each failed check counts as failed."""
+    3x3 conv shape it saw has a row; each failed check counts as failed.
+    `train-backbone-128` checks the 128 px conv rows, which the stage
+    chains reach through `conv2d`, and SGD applied in the traced walk."""
     _tiny_run(workloads, tmp_path, name, trace=True)

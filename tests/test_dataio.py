@@ -129,6 +129,23 @@ def test_resize_and_flip():
     np.testing.assert_array_equal(up[:, ::2, ::2], img)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+@pytest.mark.parametrize("src, dst", [((8, 8), (16, 16)),   # whole-factor upsample
+                                      ((8, 8), (4, 4)),     # whole-factor downsample
+                                      ((6, 9), (4, 14)),    # no whole factor
+                                      ((5, 7), (5, 7))])    # identity
+def test_resize_is_c_ordered_and_equals_fancy_indexing(dtype, src, dst):
+    """Two `np.take` gathers give the fancy-index result, as a C-ordered
+    array: `img[..., rows[:, None], cols[None, :]]` put the gathered axes
+    first in memory, so [8,16,8,8] -> 16x16 had strides (128, 8, 16384, 1024)."""
+    img = (np.random.default_rng(sum(src)).random((8, 16) + src) * 255).astype(dtype)
+    rows = T.nearest_index(src[0], dst[0])
+    cols = T.nearest_index(src[1], dst[1])
+    got = resize_nearest(img, *dst)
+    assert got.flags.c_contiguous and got.dtype == dtype
+    np.testing.assert_array_equal(got, img[..., rows[:, None], cols[None, :]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(h=st.integers(1, 12), w=st.integers(1, 12),
        out_h=st.integers(1, 12), out_w=st.integers(1, 12))

@@ -2,9 +2,10 @@
 
 c02 and the per-op oracles check each op alone. The engine's speed rests on
 in-place rules that only compositions can break: `conv_block` normalizes
-its conv's output in place, the layer-norm backward works in place on the
-masked gradient, and an op output keeps the gradient it is handed, which
-may alias another node's. So this draws random DAGs of 3-9 ops from the
+its convs' outputs in place and, in a chain, recomputes an inner block's
+output and masks its gradient in place, the layer-norm backward works in
+place on the masked gradient, and an op output keeps the gradient it is
+handed, which may alias another node's. So this draws random DAGs of 3-9 ops from the
 table `OPS`, each op reading any earlier node (an input, or an op output
 used again), and checks the gradient of a random linear mix of every node
 against central differences on 2 coordinates of every leaf. Every gradient
@@ -52,9 +53,11 @@ OPS = {
     "conv2d_s1": (1, (W3, VEC), lambda a, w, b: T.conv2d(a, w, b, stride=1, pad=1)),
     "conv2d_s2": (1, (W3, VEC), lambda a, w, b: _up(T.conv2d(a, w, b, stride=2, pad=1))),
     "conv_block_s1": (1, (W3, VEC, VEC, VEC),
-                      lambda a, w, b, g, be: T.conv_block(a, w, b, g, be, stride=1)),
+                      lambda a, w, b, g, be: T.conv_block(a, (w, b, g, be, 1))),
     "conv_block_s2": (1, (W3, VEC, VEC, VEC),
-                      lambda a, w, b, g, be: _up(T.conv_block(a, w, b, g, be, stride=2))),
+                      lambda a, w, b, g, be: _up(T.conv_block(a, (w, b, g, be, 2)))),
+    "conv_chain_s2s1": (1, (W3, VEC, VEC, VEC) * 2,
+                        lambda a, *p: _up(T.conv_block(a, (*p[:4], 2), (*p[4:], 1)))),
     "layer_norm": (1, (VEC, VEC), lambda a, g, be: T.layer_norm(a, g, be)),
     "resample": (1, (), lambda a: _up(T.resample_nearest(a, 2, 2))),
     "concat_conv1x1": (2, (W1, VEC), lambda a, b, w, bias: T.conv2d(T.concat([a, b], 1), w, bias)),

@@ -1,7 +1,8 @@
 """Heap held by one training step: the backward frees the tape it walks,
 no conv puts a patch matrix on it, every conv unfold stays under one cap,
-and each ConvBlock keeps only x_hat and its output. Heap held by a
-training run and by `evaluate`: the corpus stays resident as uint8
+each chain of conv blocks keeps only its x_hats and its last output, and
+SGD applied in the walk frees each parameter gradient at once. Heap held
+by a training run and by `evaluate`: the corpus stays resident as uint8
 pixels."""
 import dataclasses
 import functools
@@ -23,9 +24,11 @@ def _forward_loss(model, x, targets):
 
 
 @functools.lru_cache(maxsize=None)
-def _step_heap(preset: str, size: int) -> tuple[int, int, int, int]:
+def _step_heap(preset: str, size: int, walk_applied: bool = False) -> tuple[int, int, int, int]:
     """Heap after the forward, at the backward's peak and after it, for
-    one batch-8 step after a warm-up step; and the parameter bytes."""
+    one batch-8 step after a warm-up step; and the parameter bytes. With
+    `walk_applied` the backward applies SGD as it pops each parameter, as
+    `train()` does."""
     model = build_model(TrainConfig(ablation=preset, R=2, input_size=size), n_labels=8)
     opt = SGD(model.parameters(), lr=0.01, momentum=0.9)
     r = np.random.default_rng(2)
@@ -40,7 +43,7 @@ def _step_heap(preset: str, size: int) -> tuple[int, int, int, int]:
         loss = _forward_loss(model, x, targets)
         after_forward = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        loss.backward()
+        loss.backward(opt.update if walk_applied else None)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -49,32 +52,33 @@ def _step_heap(preset: str, size: int) -> tuple[int, int, int, int]:
 
 
 def _block_tape_bytes(size: int, R: int) -> int:
-    """Bytes the backbone's ConvBlocks must keep on a batch-8 tape: x_hat
-    and the output of both blocks of each stage; stages 3 and 4 run on the
-    R stacked attention orders."""
+    """Bytes the backbone's stage chains must keep on a batch-8 tape: the
+    x_hat of both blocks of each stage and the stage's output; stages 3
+    and 4 run on the R stacked attention orders."""
     total = 0
     for i, c in enumerate(BackboneConfig().stage_channels):
         side = size >> (i + 1)
         rows = 8 if i < 3 else 8 * R
-        total += 2 * 2 * rows * c * side * side * 8
+        total += 3 * rows * c * side * side * 8
     return total
 
 
 def test_backward_frees_the_forward_buffers():
     """One `full` step at 64 px, batch 8. The forward leaves at least the
-    backbone's x_hat and block outputs live (4.5 MB); the backward may rise
-    above what it leaves by the 3.6 MB that a quarter of the 14.5 MB the
-    tape held with stride-2 patch matrices admitted, and once it is done
-    while the loss is still referenced only the parameter gradients stay
-    held."""
+    backbone's x_hats and stage outputs live (3.3 MB); the backward may
+    rise above what it leaves by the 3.6 MB that a quarter of the 14.5 MB
+    the tape held with stride-2 patch matrices admitted, and once it is
+    done while the loss is still referenced only the parameter gradients
+    stay held."""
     after_forward, peak, held, param_bytes = _step_heap("full", 64)
     assert after_forward > _block_tape_bytes(64, R=2), after_forward
     assert peak - after_forward <= 3.6e6, (after_forward, peak)
     assert held <= param_bytes + 64 * 1024, (param_bytes, held)
-    # the tape held 31.4 MB while every conv kept its im2col matrix, and
-    # 14.5 MB (step peak 17.9 MB) while the stride-2 convs kept theirs
-    assert after_forward <= 10e6, after_forward
-    assert peak <= 13.5e6, peak
+    # the tape held 31.4 MB while every conv kept its im2col matrix, 14.5 MB
+    # (step peak 17.9 MB) while the stride-2 convs kept theirs, and 9.0 MB
+    # (step peak 12.5 MB) while each stage kept its first block's output
+    assert after_forward <= 7.8e6, after_forward
+    assert peak <= 11.5e6, peak
 
 
 def test_backbone_tape_at_128px_keeps_no_stride1_patch_matrix():
@@ -84,18 +88,49 @@ def test_backbone_tape_at_128px_keeps_no_stride1_patch_matrix():
     The backward's rise is bounded by the 8.2 MB that a quarter of those
     32.8 MB admitted."""
     after_forward, peak, held, param_bytes = _step_heap("B", 128)
-    assert after_forward <= 20e6, after_forward
+    assert after_forward <= 13.5e6, after_forward
     assert peak - after_forward <= 8.2e6, (after_forward, peak)
-    assert peak <= 24e6, peak
+    assert peak <= 19.0e6, peak
     assert held <= param_bytes + 64 * 1024, (param_bytes, held)
 
 
 def test_conv_blocks_keep_only_x_hat_and_output_at_128px():
     """Preset `B` at 128 px, batch 8: with conv, layer_norm and relu as
     three tape nodes (conv output, x_hat, LN output, mask, relu output per
-    block) the forward left 50.1 MB live; as one node per block, 32.8 MB."""
+    block) the forward left 50.1 MB live; as one node per block, 32.8 MB
+    with stride-2 patch matrices and 16.9 MB without; as one chain per
+    stage, whose first block's output the backward recomputes, 12.8 MB."""
     after_forward = _step_heap("B", 128)[0]
-    assert after_forward <= 40e6, after_forward
+    assert after_forward <= 13.5e6, after_forward
+
+
+def test_sgd_in_the_walk_holds_no_parameter_gradient():
+    """The same steps with SGD applied as the walk pops each parameter:
+    every gradient is dropped once applied, so the backward's peak lies
+    below the plain backward's (full 64 px: 10.97 MB; B 128 px: 18.22 MB)
+    and nothing but the loss's own gradient stays held."""
+    for preset, size, peak_bound in (("full", 64, 9.9e6), ("B", 128, 17.6e6)):
+        after_forward, peak, held, _ = _step_heap(preset, size, walk_applied=True)
+        assert peak <= peak_bound, (preset, peak)
+        assert peak < _step_heap(preset, size)[1], preset
+        assert held <= 64 * 1024, (preset, held)
+
+
+def test_untracked_chain_keeps_no_x_hat():
+    """A batch-16 `predict_batch` of preset `B` at 128 px runs its stage
+    chains without a tape. Blocks run one `conv_block` at a time peaked
+    at 13.18 MB; a chain that kept each block's x_hat through the next
+    block's conv, at 16.85 MB; the chain now peaks at 12.65 MB."""
+    model = build_model(TrainConfig(ablation="B", R=2, input_size=128), n_labels=8)
+    images = np.random.default_rng(4).random((16, 3, 128, 128))
+    predict_batch(model, images)
+    tracemalloc.start()
+    try:
+        predict_batch(model, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13.2e6, peak
 
 
 def test_every_conv_unfold_fits_the_cap(monkeypatch):

@@ -295,7 +295,7 @@ def test_conv_block_has_the_bits_of_three_ops(bsz, stride, track_x):
     fused = _block_inputs(bsz, track_x, seed)
     x, w, b, gamma, beta = three = _block_inputs(bsz, track_x, seed)
     want = T.layer_norm(T.conv2d(x, w, b, stride=stride, pad=1), gamma, beta).relu()
-    got = T.conv_block(*fused, stride)
+    got = T.conv_block(fused[0], (*fused[1:], stride))
     proj = np.random.default_rng(seed).standard_normal(got.shape)
     for out in (want, got):
         (out * Tensor(proj)).sum().backward()
@@ -304,6 +304,43 @@ def test_conv_block_has_the_bits_of_three_ops(bsz, stride, track_x):
     for f, t in zip(fused, three):
         if t.grad is not None:
             np.testing.assert_array_equal(f.grad, t.grad)
+
+
+def _chain_blocks(strides, seed):
+    r = np.random.default_rng(seed)
+    blocks, cin = [], 3
+    for stride, cout in zip(strides, (4, 5)):
+        blocks.append((Tensor(r.standard_normal((cout, cin, 3, 3)), requires_grad=True),
+                       Tensor(r.standard_normal(cout), requires_grad=True),
+                       Tensor(r.random(cout) + 0.5, requires_grad=True),
+                       Tensor(r.standard_normal(cout), requires_grad=True), stride))
+        cin = cout
+    return blocks
+
+
+@pytest.mark.parametrize("strides", [(2, 1), (2, 2)])
+@pytest.mark.parametrize("track_x", [True, False])
+def test_conv_chain_has_the_bits_of_its_blocks_one_at_a_time(strides, track_x):
+    """A two-block chain, which recomputes its inner output in the
+    backward, matches the same blocks run as two `conv_block` nodes bit
+    for bit: the forward and every gradient."""
+    seed = 7 * strides[1] + track_x
+    x_data = np.random.default_rng(seed).standard_normal((3, 3, 8, 8))
+    chain_x, apart_x = (Tensor(x_data, requires_grad=track_x) for _ in range(2))
+    chain_blocks, apart_blocks = _chain_blocks(strides, seed), _chain_blocks(strides, seed)
+    got = T.conv_block(chain_x, *chain_blocks)
+    want = T.conv_block(T.conv_block(apart_x, apart_blocks[0]), apart_blocks[1])
+    assert tape(got) == [got]
+    proj = np.random.default_rng(seed).standard_normal(got.shape)
+    for out in (want, got):
+        (out * Tensor(proj)).sum().backward()
+    np.testing.assert_array_equal(got.data, want.data)
+    assert (chain_x.grad is None) == (apart_x.grad is None) == (not track_x)
+    if track_x:
+        np.testing.assert_array_equal(chain_x.grad, apart_x.grad)
+    for chained, apart in zip(chain_blocks, apart_blocks):
+        for c, a in zip(chained[:4], apart[:4]):
+            np.testing.assert_array_equal(c.grad, a.grad)
 
 
 def test_conv_block_is_one_tape_node():
@@ -374,6 +411,13 @@ def test_grad_concat_repeat():
 def test_grad_reverse_flips_sign():
     x = rng.standard_normal((3, 3))
     gradcheck(lambda a: T.grad_reverse(a), x, sign=-1.0)
+
+
+def test_grad_reverse_shares_its_input_array():
+    x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    y = T.grad_reverse(x)
+    assert np.shares_memory(y.data, x.data)
+    np.testing.assert_array_equal(y.data, x.data)
 
 
 def test_fanout_accumulates():
@@ -552,7 +596,7 @@ def _every_op(x, w, b, gamma):
     flat = img.reshape(2, -1)
     return [
         img, T.conv2d(x, w, stride=2, pad=1), T.layer_norm(img, gamma, b),
-        T.conv_block(x, w, b, gamma, b, 1),
+        T.conv_block(x, (w, b, gamma, b, 1)),
         T.resample_nearest(img, 3, 3), T.resample_nearest(img, 8, 8),
         flat @ flat.transpose(), T.linear(flat, flat.transpose(), Tensor(np.ones(2))),
         img + img, img * 2.0, 1.0 - img, img / 4.0, T.grad_reverse(img),
@@ -693,6 +737,69 @@ def test_sgd_in_place_step_matches_out_of_place_formula():
         for k, t in params.items():
             np.testing.assert_array_equal(t.data, ref_p[k])
             np.testing.assert_array_equal(opt.velocity[k], ref_v[k])
+
+
+def _train_steps(walk_applied: bool, steps: int = 3):
+    """Parameters and velocities after `steps` train steps of a small
+    `full` model, each applying SGD either in the backward walk
+    (`SGD.update`) or after it; and, for the walk, the most parameters
+    that held a gradient when a gradient closure started."""
+    model = build_model(TrainConfig(ablation="full", R=2, input_size=32), n_labels=4)
+    params = model.parameters()
+    opt = SGD(params, lr=0.05, momentum=0.9, weight_decay=1e-3)
+    r = np.random.default_rng(6)
+    most = 0
+
+    def counted(fn):
+        def run(g):
+            nonlocal most
+            most = max(most, sum(p.grad is not None for p in params.values()))
+            fn(g)
+        return run
+
+    for _ in range(steps):
+        out = model.forward(Tensor(r.random((2, 3, 32, 32))))
+        loss = total_loss(pred_loss(out.y_e, out.y_emotion, r.dirichlet(np.ones(4), size=2)),
+                          model.adversary(out))
+        opt.zero_grad()
+        if walk_applied:
+            for node in tape(loss):
+                node._grad_fn = counted(node._grad_fn)
+            loss.backward(opt.update)
+            assert all(p.grad is None for p in params.values())
+        else:
+            loss.backward()
+        opt.step()
+    return ({k: p.data for k, p in params.items()}, opt.velocity, most)
+
+
+def test_sgd_update_in_the_walk_matches_backward_then_step():
+    """Applying each parameter's update as the walk pops it gives the bits
+    of `backward(); step()` over several steps with momentum and weight
+    decay, and frees each gradient at once: no closure ever starts while
+    more than one parameter holds a gradient."""
+    after_params, after_velocity, _ = _train_steps(walk_applied=False)
+    walk_params, walk_velocity, most = _train_steps(walk_applied=True)
+    assert most <= 1, most
+    for got, want in ((walk_params, after_params), (walk_velocity, after_velocity)):
+        assert list(got) == list(want)
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+def test_sgd_step_updates_only_what_the_walk_did_not():
+    used, unused = (Tensor(np.array([1.0, -2.0]), requires_grad=True) for _ in range(2))
+    other = Tensor(3.0, requires_grad=True)  # tracked, but no parameter
+    opt = SGD({"used": used, "unused": unused}, lr=0.1, momentum=0.5, weight_decay=0.25)
+    (used * other).sum().backward(opt.update)
+    assert used.grad is None and other.grad is not None
+    np.testing.assert_array_equal(used.data, [1.0 - 0.1 * (3.0 + 0.25), -2.0 - 0.1 * (3.0 - 0.5)])
+    np.testing.assert_array_equal(unused.data, [1.0, -2.0])
+    opt.step()
+    np.testing.assert_array_equal(used.data, [1.0 - 0.1 * (3.0 + 0.25), -2.0 - 0.1 * (3.0 - 0.5)])
+    np.testing.assert_array_equal(unused.data, [1.0 - 0.1 * 0.25, -2.0 + 0.1 * 0.5])
+    opt.step()  # the next step updates both again
+    assert not np.array_equal(used.data, [1.0 - 0.1 * (3.0 + 0.25), -2.0 - 0.1 * (3.0 - 0.5)])
 
 
 def test_sgd_zero_grad_clears():

@@ -1,5 +1,6 @@
 """Config parsing, schedule, training loop behavior, checkpoint format."""
 import dataclasses
+import errno
 import hashlib
 import math
 import re
@@ -306,6 +307,42 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
             arr = np.atleast_1d(arr)  # SEDL1 stores a 0-d array with shape (1,)
             assert loaded_arrays[key].dtype == np.float64 and loaded_arrays[key].shape == arr.shape
             np.testing.assert_array_equal(loaded_arrays[key], arr)
+
+
+class _FillsUp:
+    """A file whose writes fail as on a full disk once 1 KiB is written."""
+
+    def __init__(self, path, mode):
+        self.file = open(path, mode)
+        self.written = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def write(self, data):
+        if self.written > 1024:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.written += memoryview(data).nbytes
+        return self.file.write(data)
+
+
+def test_checkpoint_save_that_fails_keeps_the_old_file(tmp_path, monkeypatch):
+    """A save whose writes fail part way leaves the previous checkpoint's
+    bytes in place and no temporary behind."""
+    path = tmp_path / "run.ckpt"
+    _pinned_checkpoint().save(path)
+    old = path.read_bytes()
+    monkeypatch.setattr(train_mod, "open", _FillsUp, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        _pinned_checkpoint(epoch=8).save(path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
 
 
 @pytest.mark.parametrize("overrides, entry", [
