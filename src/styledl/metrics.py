@@ -79,7 +79,8 @@ def load_report(path: str | Path) -> tuple[str, dict[str, float]]:
     means = {}
     for m, entry in metrics.items():
         mean = entry.get("mean") if isinstance(entry, dict) else None
-        if not isinstance(mean, (int, float)):
+        # bool is an int subclass, but `true` is no metric value
+        if not isinstance(mean, (int, float)) or isinstance(mean, bool):
             raise FormatError(f"{path}: metric '{m}' has no numeric 'mean'")
         means[m] = float(mean)
     name = doc.get("name") or path.stem

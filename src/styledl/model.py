@@ -130,16 +130,21 @@ class EmotionDistributionNet:
     def forward(self, images: Tensor | np.ndarray) -> ForwardOutput:
         x = images if isinstance(images, Tensor) else Tensor(images)
         taps = self.backbone.taps(x)
-
-        atts = self.attention(taps[2]) if self.attention else [taps[2]]
-        x3, x4 = encode_orders(atts, self.backbone.stages[3], self.backbone.stages[4])
-        content = fpn_fuse(x3, x4, self.lateral) if self.lateral else x3
-
+        x2 = taps[2]
+        # The style path runs before the deep stages and the taps are
+        # dropped after it, so without a tape x0 and x1 are freed before
+        # the attention and stages 3-4 run. With a tape the graph, and so
+        # the backward walk, is the same in either order.
         style = None
         if self.style_module:
             if self.flags.gram_intra:
                 taps = [gram(t, self.cfg.gram_normalize) for t in taps]
             style = self.style_module(stack_grams(*taps))
+        del taps
+
+        atts = self.attention(x2) if self.attention else [x2]
+        x3, x4 = encode_orders(atts, self.backbone.stages[3], self.backbone.stages[4])
+        content = fpn_fuse(x3, x4, self.lateral) if self.lateral else x3
 
         orders = self.effective_orders
         fe = self.fusion(style, content, x4)

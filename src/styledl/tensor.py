@@ -486,6 +486,14 @@ def _col2im(gcols: np.ndarray, gxt: np.ndarray, k: int, stride: int, ho: int, wo
 # sample at least, so a sample larger than the cap is unfolded alone).
 # The benchmark peak of a 128 px backbone's training is 42.2 MB at 8 MiB,
 # 36.9 MB at 2 MiB and 36.6 MB at 1 MiB; a smaller cap only adds GEMM calls.
+# Temporaries this size sit near glibc's dynamic mmap and trim thresholds,
+# so a process that has never freed a larger block gives its heap back
+# after each batch-16 forward and faults it in again: about 8,900 minor
+# faults per 64-image `predict_batch` of `full` at 64 px in a process that
+# only loads and predicts (2-core VM, 1 BLAS thread). After a training
+# run, as in every benchmark workload, it takes none, and a reused unfold
+# workspace or raised thresholds did not move the benchmark's rates; so
+# neither is added.
 _UNFOLD_BYTES = 2 << 20
 
 

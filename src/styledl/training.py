@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -192,10 +193,24 @@ class Checkpoint:
     def load(path: str | Path) -> "Checkpoint":
         """Read a checkpoint file. A truncated or corrupt file, or one
         holding a NaN or infinity, raises FormatError naming the path, the
-        entry and the byte offset."""
-        buf = Path(path).read_bytes()
-        if buf[:5] != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: bad checkpoint magic {buf[:5]!r}")
+        entry and the byte offset.
+
+        The file is mapped read-only, not read: every array of the result
+        is a read-only view of the mapping, which (with the descriptor
+        `mmap` keeps open) stays until the last of them is freed, so the
+        process holds no private copy of the file.
+        `save` writes a temporary file and renames it over `path`, which
+        leaves a loaded checkpoint's bytes as they were. Truncating or
+        rewriting the file in place while a loaded checkpoint is alive is
+        not supported: the arrays see the new bytes, and reading a page
+        cut off the file ends the process with SIGBUS.
+        """
+        with open(path, "rb") as f:
+            magic = f.read(len(CHECKPOINT_MAGIC))
+            if magic != CHECKPOINT_MAGIC:
+                raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
+            # mapping 0 bytes raises, so the magic is checked before the map
+            buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
         entries = _read_entries(buf, path)
 
         def required(key: str) -> np.ndarray:
@@ -266,7 +281,9 @@ class Checkpoint:
 
     def build_model(self) -> EmotionDistributionNet:
         """The saved network, built without drawing an init: every weight
-        starts uninitialized and is then replaced by a copy of its array."""
+        starts uninitialized, and its array is copied into that buffer, so
+        the model owns one writable array per parameter and allocates no
+        second one."""
         with skip_init():
             model = build_model(self.config, self.n_labels)
         model.set_static_adjacency(self.adjacency)
@@ -276,7 +293,7 @@ class Checkpoint:
         for key, arr in self.params.items():
             if target[key].data.shape != arr.shape:
                 raise FormatError(f"checkpoint shape mismatch at {key}")
-            target[key].data = arr.copy()
+            np.copyto(target[key].data, arr)
         return model
 
 
@@ -300,7 +317,7 @@ def _preallocate(f, size: int) -> None:
             raise
 
 
-def _read_entries(buf: bytes, path) -> dict[str, np.ndarray]:
+def _read_entries(buf: mmap.mmap, path) -> dict[str, np.ndarray]:
     """Decode every record after the magic as a read-only view of `buf`,
     checking each read against the size of the file and each value for
     being finite."""

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from styledl.cli import main
+from styledl.errors import FormatError
+from styledl.metrics import METRIC_NAMES, load_report
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +143,22 @@ def test_rank_rejects_malformed_report(tmp_path, capsys, text):
     assert main(["rank", "--reports", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}") and err.count("\n") == 1
+
+
+def test_rank_rejects_a_boolean_mean(tmp_path, capsys):
+    """JSON `true` is an int to Python; as a metric mean it loaded as 1.0
+    and was ranked."""
+    metrics = {m: {"mean": 0.5} for m in METRIC_NAMES}
+    metrics["cosine"] = {"mean": True}
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps({"name": "x", "metrics": metrics}))
+    with pytest.raises(FormatError, match="metric 'cosine'"):
+        load_report(bad)
+    assert main(["rank", "--reports", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: metric 'cosine'")
+    assert captured.err.count("\n") == 1, captured.err
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])

@@ -3,19 +3,23 @@ no conv puts a patch matrix on it, every conv unfold stays under one cap,
 each chain of conv blocks keeps only its x_hats and its last output, and
 SGD applied in the walk frees each parameter gradient at once. Heap held
 by a training run and by `evaluate`: the corpus stays resident as uint8
-pixels."""
+pixels. Heap held at inference: a loaded checkpoint maps its file, the
+rebuilt model holds one copy of each weight, and a forward frees the
+style taps before the deep stages."""
 import dataclasses
 import functools
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import styledl.tensor as T
 from styledl.backbone import BackboneConfig
 from styledl.dataio import synth_generate
 from styledl.losses import pred_loss, total_loss
 from styledl.tensor import SGD, Tensor
-from styledl.training import TrainConfig, build_model, evaluate, predict_batch, train
+from styledl.training import (Checkpoint, TrainConfig, build_model, evaluate, predict_batch,
+                              train)
 
 
 def _forward_loss(model, x, targets):
@@ -198,3 +202,59 @@ def test_evaluate_holds_the_corpus_as_uint8(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 30 * 2**20, peak
+
+
+def _traced(fn):
+    """What `fn()` returns, and the heap it leaves held and its peak."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+@pytest.fixture(scope="module")
+def full_checkpoint(tmp_path_factory) -> tuple[str, int]:
+    """A `full` 64 px checkpoint file of an untrained model (7.08 MB,
+    parameters and momentum), and its parameter bytes."""
+    model = build_model(TrainConfig(ablation="full", input_size=64), n_labels=8)
+    params = {k: t.data for k, t in model.parameters().items()}
+    path = tmp_path_factory.mktemp("ckpt") / "full.ckpt"
+    Checkpoint(config=model.cfg, n_labels=8, label_names=[f"l{i}" for i in range(8)], epoch=0,
+               params=params, velocity={k: np.zeros_like(v) for k, v in params.items()},
+               adjacency=np.eye(8)).save(path)
+    return path, sum(v.nbytes for v in params.values())
+
+
+def test_checkpoint_load_maps_the_file(full_checkpoint):
+    """Reading the whole file held a private 7.08 MB copy of it; mapped,
+    the load holds only its dicts and array headers. Its peak adds the
+    finiteness mask of the largest record (one byte per value)."""
+    path, _ = full_checkpoint
+    ckpt, held, peak = _traced(lambda: Checkpoint.load(path))
+    largest = max(v.size for v in ckpt.params.values())
+    assert held <= 256 * 1024, held
+    assert peak <= 256 * 1024 + largest, (peak, largest)
+
+
+def test_build_model_holds_one_copy_of_each_weight(full_checkpoint):
+    """`Checkpoint.load(p).build_model()` peaked at 11.88 MB for 3.54 MB
+    of parameters: the file's copy, every placeholder and every copy of a
+    record. Copied into the placeholders, it peaks at the parameters."""
+    path, param_bytes = full_checkpoint
+    _, held, peak = _traced(lambda: Checkpoint.load(path).build_model())
+    assert held >= param_bytes
+    assert peak <= param_bytes + 256 * 1024, (param_bytes, peak)
+
+
+def test_forward_frees_the_style_taps_before_the_deep_stages():
+    """A batch-16 `predict_batch` of `full` at 64 px peaked at 5.99 MB
+    while the taps lived through the attention and stages 3-4; the style
+    path now runs first and the forward drops them, 4.69 MB."""
+    model = build_model(TrainConfig(ablation="full", input_size=64), n_labels=8)
+    images = np.random.default_rng(4).random((16, 3, 64, 64))
+    predict_batch(model, images)
+    _, _, peak = _traced(lambda: predict_batch(model, images))
+    assert peak <= 4.85e6, peak

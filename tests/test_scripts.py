@@ -1,9 +1,12 @@
 """Smoke runs of the two sanity scripts in `scripts/` at a tiny size."""
 import importlib.util
+import json
 import math
 import re
 import sys
 from pathlib import Path
+
+from styledl.metrics import METRIC_NAMES
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -26,12 +29,21 @@ def test_run_overfit(monkeypatch, capsys, tmp_path):
 
 
 def test_run_ablation(monkeypatch, capsys, tmp_path):
+    record = tmp_path / "runs.json"
     _run(monkeypatch, "run_ablation",
-         ["--presets", "B", "full", "--seeds", "0", "--n", "10", "--split", "0.5",
-          "--size", "32", "--epochs", "1", "--workdir", str(tmp_path)])
+         ["--presets", "B", "full", "--seeds", "0", "1", "--n", "10", "--split", "0.5",
+          "--size", "32", "--epochs", "1", "--workdir", str(tmp_path), "--json", str(record)])
     out = capsys.readouterr().out
     assert "5 train / 5 test" in out
     rows = dict(re.findall(r"^(B|full)\s+(\S+)$", out, flags=re.MULTILINE))
     assert set(rows) == {"B", "full"}
     assert all(math.isfinite(float(kl)) and float(kl) >= 0 for kl in rows.values())
+    doc = json.loads(record.read_text(encoding="utf-8"))
+    assert (doc["presets"], doc["seeds"]) == (["B", "full"], [0, 1])
+    assert [(r["preset"], r["seed"]) for r in doc["runs"]] == [
+        ("B", 0), ("B", 1), ("full", 0), ("full", 1)]
+    for run in doc["runs"]:
+        assert set(run["metrics"]) == set(METRIC_NAMES)
+        assert all(math.isfinite(v) for v in run["metrics"].values())
+        assert math.isfinite(run["train_pred_loss"])
 

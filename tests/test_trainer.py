@@ -365,6 +365,19 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         Checkpoint.load(p)
 
 
+@pytest.mark.parametrize("content", [b"", b"SEDL"])
+def test_checkpoint_shorter_than_the_magic_is_a_format_error(tmp_path, capsys, content):
+    """An empty file cannot be mapped, so the magic is checked first."""
+    p = tmp_path / "short.ckpt"
+    p.write_bytes(content)
+    with pytest.raises(FormatError, match="short.ckpt: bad checkpoint magic"):
+        Checkpoint.load(p)
+    assert main(["predict", "--checkpoint", str(p), "--image", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p}: bad checkpoint magic {content!r}\n"
+
+
 def _cut_points(size):
     """Every cut in the first 200 bytes (each field of the first config
     records), then an even spread up to the last byte."""
@@ -418,6 +431,14 @@ def test_loaded_records_are_read_only_and_the_rebuilt_model_owns_its_params(corp
     for key, t in model.parameters().items():
         assert t.data.flags.owndata and t.data.flags.writeable, key
         np.testing.assert_array_equal(t.data, ckpt.params[key])
+    # a save over the mapped file renames a new file into place, so the
+    # loaded views keep the old bytes
+    old = {k: v.copy() for k, v in ckpt.params.items()}
+    dataclasses.replace(ckpt, params={k: v + 1.0 for k, v in old.items()}).save(path)
+    np.testing.assert_array_equal(Checkpoint.load(path).params["fusion/conv_sc/w"],
+                                  old["fusion/conv_sc/w"] + 1.0)
+    for key, arr in ckpt.params.items():
+        np.testing.assert_array_equal(arr, old[key])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
