@@ -14,9 +14,10 @@ from .errors import ContractViolation
 from .tensor import Tensor
 
 
-def static_gcn(a_static: Tensor | np.ndarray, features: Tensor, w_s: Tensor) -> Tensor:
-    """LeakyReLU(A_s @ F @ W_s) with A_s shared across the batch."""
-    return T.matmul(T.matmul(a_static, features), w_s).leaky_relu(0.2)
+def graph_conv(adjacency: Tensor | np.ndarray, features: Tensor, weight: Tensor) -> Tensor:
+    """LeakyReLU(A @ F @ W), for the static pass (A [C,C], shared across
+    the batch) and the dynamic one (A [B,C,C], one per sample) alike."""
+    return T.matmul(T.matmul(adjacency, features), weight).leaky_relu(0.2)
 
 
 def dynamic_adjacency(f_sgcn: Tensor, w_a: Tensor) -> Tensor:
@@ -32,11 +33,6 @@ def dynamic_adjacency(f_sgcn: Tensor, w_a: Tensor) -> Tensor:
     return T.matmul(joined, w_a).sigmoid()
 
 
-def dynamic_gcn(a_dynamic: Tensor, f_sgcn: Tensor, w_d: Tensor) -> Tensor:
-    """LeakyReLU(A_d @ F_sgcn @ W_d) with a per-sample adjacency."""
-    return T.matmul(T.matmul(a_dynamic, f_sgcn), w_d).leaky_relu(0.2)
-
-
 class StylisticGcn:
     """Parameter container for the two-pass label graph."""
 
@@ -49,11 +45,11 @@ class StylisticGcn:
             self.w_a = T.he_normal(rng, (2 * hidden, n_labels), fan_in=2 * hidden)
 
     def __call__(self, a_static: Tensor | np.ndarray, features: Tensor) -> Tensor:
-        enhanced = static_gcn(a_static, features, self.w_s)
+        enhanced = graph_conv(a_static, features, self.w_s)
         if not self.dynamic:
             return enhanced
         a_d = dynamic_adjacency(enhanced, self.w_a)
-        return dynamic_gcn(a_d, enhanced, self.w_d)
+        return graph_conv(a_d, enhanced, self.w_d)
 
     def params(self, prefix: str = "gcn") -> dict[str, Tensor]:
         out = {f"{prefix}/w_s": self.w_s}

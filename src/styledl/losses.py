@@ -9,6 +9,7 @@ from .tensor import Tensor
 
 SIMPLEX_TOL = 1e-6
 KL_EPS = 1e-12
+ADV_FLOOR = 1e-8
 
 
 def _check_simplex(values: np.ndarray, what: str) -> None:
@@ -20,8 +21,8 @@ def _check_simplex(values: np.ndarray, what: str) -> None:
                                 f"[{sums.min():.8f}, {sums.max():.8f}]")
 
 
-def kl_loss(target: np.ndarray | Tensor, pred: Tensor, eps: float = KL_EPS) -> Tensor:
-    """KL(target || pred) with the prediction clamped away from zero.
+def kl_loss(target: np.ndarray | Tensor, pred: Tensor) -> Tensor:
+    """KL(target || pred) with the prediction clamped below at KL_EPS.
 
     Zero-mass target entries contribute nothing. A 2-d input is treated
     as a batch and the per-row divergences are averaged.
@@ -37,7 +38,7 @@ def kl_loss(target: np.ndarray | Tensor, pred: Tensor, eps: float = KL_EPS) -> T
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = np.where(t > 0, t * np.log(t), 0.0).sum()
     mask = Tensor(t)
-    cross = (mask * pred.clamp_min(eps).log()).sum()
+    cross = (mask * pred.clamp_min(KL_EPS).log()).sum()
     return (float(ent) - cross) * (1.0 / rows)
 
 
@@ -56,11 +57,11 @@ def pred_loss(y_e: Tensor, y_emotion: Tensor | None,
     return total
 
 
-def total_loss(l_pred: Tensor, l_adv: Tensor, eps: float = 1e-8) -> Tensor:
+def total_loss(l_pred: Tensor, l_adv: Tensor) -> Tensor:
     """Adaptive balance: L_pred + c * L_adv with c detached as
-    L_pred / max(L_adv, eps), so the adversary term's weight tracks the
+    L_pred / max(L_adv, ADV_FLOOR), so the adversary term's weight tracks the
     prediction loss but contributes gradient only through L_adv."""
-    coeff = l_pred.item() / max(l_adv.item(), eps)
+    coeff = l_pred.item() / max(l_adv.item(), ADV_FLOOR)
     return l_pred + coeff * l_adv
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, FormatError, ValidationError
+from .losses import KL_EPS
 
 METRIC_NAMES = ("kl", "chebyshev", "clark", "canberra", "cosine", "intersection")
 LOWER_IS_BETTER = {
@@ -102,7 +103,7 @@ def evaluate_metrics(targets, preds, normalize: bool = True) -> MetricReport:
     diff = p - t
     denom = p + t
     with np.errstate(divide="ignore", invalid="ignore"):
-        kl_terms = np.where(t > 0, t * (np.log(t) - np.log(np.maximum(p, 1e-12))), 0.0)
+        kl_terms = np.where(t > 0, t * (np.log(t) - np.log(np.maximum(p, KL_EPS))), 0.0)
         clark_terms = np.where(denom > 0, (diff / denom) ** 2, 0.0)
         canb_terms = np.where(denom > 0, np.abs(diff) / denom, 0.0)
     kl = kl_terms.sum(axis=1)

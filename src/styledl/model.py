@@ -22,7 +22,7 @@ from .gcn import StylisticGcn
 from .hoa import AdversaryHead, HighOrderAttention, adversary_loss, encode_orders, fpn_fuse
 from .layers import Conv1x1
 from .losses import combine_final
-from .style import InterLayerCorrelation, gram, stack_grams
+from .style import STYLE_WIDTHS, InterLayerCorrelation, gram, stack_grams
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -53,9 +53,6 @@ ABLATION_PRESETS: dict[str, AblationFlags] = {
     "noAN": AblationFlags(True, True, True, True, True, False),
     "static_gcn_only": AblationFlags(True, True, True, True, False, True),
 }
-
-STYLE_WIDTHS = (16, 32)
-
 
 @dataclass
 class ForwardOutput:
@@ -173,17 +170,14 @@ class EmotionDistributionNet:
 
     # --------------------------------------------------------- parameters
     def parameters(self) -> dict[str, Tensor]:
-        params = self.backbone.params("backbone")
-        if self.style_module:
-            params.update(self.style_module.params("style"))
-        if self.attention:
-            params.update(self.attention.params("hoa"))
-        if self.lateral:
-            params.update(self.lateral.params("fpn/lateral"))
-        if self.adv_head3 and self.adv_head4:
-            params.update(self.adv_head3.params("adversary/stage3"))
-            params.update(self.adv_head4.params("adversary/stage4"))
-        params.update(self.fusion.params("fusion"))
-        if self.gcn:
-            params.update(self.gcn.params("gcn"))
+        """Every parameter by key, in the order checkpoints store them and
+        SGD walks them; a preset's absent modules add nothing."""
+        params: dict[str, Tensor] = {}
+        for prefix, module in (("backbone", self.backbone), ("style", self.style_module),
+                               ("hoa", self.attention), ("fpn/lateral", self.lateral),
+                               ("adversary/stage3", self.adv_head3),
+                               ("adversary/stage4", self.adv_head4),
+                               ("fusion", self.fusion), ("gcn", self.gcn)):
+            if module is not None:
+                params.update(module.params(prefix))
         return params

@@ -15,6 +15,8 @@ from .errors import ContractViolation
 from .layers import ConvBlock, conv_chain
 from .tensor import Tensor
 
+STYLE_WIDTHS = (16, 32)
+
 
 def gram(x: Tensor, normalize: bool = False) -> Tensor:
     """Per-sample G = M @ M.T for the [C, H*W] flattening M of [B,C,H,W].
@@ -51,7 +53,7 @@ class InterLayerCorrelation:
     run as one two-block `conv_chain`."""
 
     def __init__(self, rng: np.random.Generator, in_channels: int = 3,
-                 widths: tuple[int, int] = (16, 32)):
+                 widths: tuple[int, int] = STYLE_WIDTHS):
         self.block1 = ConvBlock(rng, in_channels, widths[0], stride=2)
         self.block2 = ConvBlock(rng, widths[0], widths[1], stride=2)
         self.out_channels = widths[1]

@@ -12,6 +12,7 @@ import dataclasses
 import errno
 import math
 import mmap
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -35,6 +36,15 @@ __all__ = ["CHECKPOINT_MAGIC", "Checkpoint", "EpochLog", "TrainConfig", "build_m
 
 CHECKPOINT_MAGIC = b"SEDL1"
 
+# TrainConfig field type -> the values it admits: numpy scalars count, and a
+# bool is no number
+_FIELD_TYPES = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)),
+    "bool": lambda v: isinstance(v, (bool, np.bool_)),
+    "str": lambda v: isinstance(v, str),
+}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -56,6 +66,10 @@ class TrainConfig:
     gram_normalize: bool = False
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not _FIELD_TYPES[field.type](value):
+                raise ConfigurationError(f"{field.name} must be of type {field.type}, got {value!r}")
         if self.ablation not in ABLATION_PRESETS:
             raise ConfigurationError(f"unknown ablation '{self.ablation}'")
         if self.R < 1 or self.batch_size < 1 or self.epochs < 1:
@@ -317,6 +331,7 @@ def _preallocate(f, size: int) -> None:
             raise
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum of the values may overflow
 def _read_entries(buf: mmap.mmap, path) -> dict[str, np.ndarray]:
     """Decode every record after the magic as a read-only view of `buf`,
     checking each read against the size of the file and each value for
@@ -353,10 +368,15 @@ def _read_entries(buf: mmap.mmap, path) -> dict[str, np.ndarray]:
         count = math.prod(shape)
         need(8 * count, "payload")
         arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape)
-        finite = np.isfinite(arr)
-        if not finite.all():
-            first = pos + 8 * int(np.argmin(finite.reshape(-1)))
-            raise FormatError(f"{path}: entry {label} holds a non-finite value (offset {first})")
+        # A finite sum means every value is finite (NaN and inf propagate),
+        # with no one-byte-per-value mask; the mask then finds the bad value
+        # or clears an overflowing sum. min and max need no mask either, but
+        # two passes over the mostly unaligned records took 1.4 ms, not 0.92.
+        if not math.isfinite(arr.sum()):
+            finite = np.isfinite(arr).reshape(-1)
+            if not finite.all():
+                first = pos + 8 * int(np.argmin(finite))
+                raise FormatError(f"{path}: entry {label} holds a non-finite value (offset {first})")
         entries[key] = arr
         pos += 8 * count
     return entries

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import gradcheck
 from styledl.errors import ContractViolation
-from styledl.gcn import StylisticGcn, dynamic_adjacency, dynamic_gcn, static_gcn
+from styledl.gcn import StylisticGcn, dynamic_adjacency, graph_conv
 from styledl.tensor import Tensor
 
 rng = np.random.default_rng(41)
@@ -17,25 +17,25 @@ def test_static_gcn_hand_value():
     f = Tensor(np.array([[[1.0, -2.0], [3.0, -0.5]]]))
     a = np.eye(2)
     w = Tensor(np.eye(2))
-    out = static_gcn(a, f, w).data
+    out = graph_conv(a, f, w).data
     np.testing.assert_allclose(out, [[[1.0, -0.4], [3.0, -0.1]]], rtol=1e-12)
 
 
 def test_static_gcn_mixes_labels():
     f = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
     a = np.array([[0.5, 0.5], [0.5, 0.5]])
-    out = static_gcn(a, f, Tensor(np.eye(2))).data
+    out = graph_conv(a, f, Tensor(np.eye(2))).data
     np.testing.assert_allclose(out, [[[0.5, 0.5], [0.5, 0.5]]])
 
 
 def test_static_gcn_validation():
     f = Tensor(np.zeros((1, 3, 4)))
     with pytest.raises(ContractViolation):
-        static_gcn(np.zeros((3, 2)), f, Tensor(np.eye(4)))
+        graph_conv(np.zeros((3, 2)), f, Tensor(np.eye(4)))
     with pytest.raises(ContractViolation):
-        static_gcn(np.eye(2), f, Tensor(np.eye(4)))
+        graph_conv(np.eye(2), f, Tensor(np.eye(4)))
     with pytest.raises(ContractViolation):
-        static_gcn(np.eye(3), f, Tensor(np.zeros((3, 4))))
+        graph_conv(np.eye(3), f, Tensor(np.zeros((3, 4))))
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -60,11 +60,11 @@ def test_dynamic_gcn_shapes_and_validation():
     f = Tensor(rng.standard_normal((2, 3, 4)))
     a = Tensor(rng.random((2, 3, 3)))
     w = Tensor(rng.standard_normal((4, 4)))
-    assert dynamic_gcn(a, f, w).shape == (2, 3, 4)
+    assert graph_conv(a, f, w).shape == (2, 3, 4)
     with pytest.raises(ContractViolation):
-        dynamic_gcn(Tensor(rng.random((2, 3, 2))), f, w)
+        graph_conv(Tensor(rng.random((2, 3, 2))), f, w)
     with pytest.raises(ContractViolation):
-        dynamic_gcn(a, f, Tensor(np.zeros((2, 4))))
+        graph_conv(a, f, Tensor(np.zeros((2, 4))))
 
 
 def test_module_static_only_vs_dynamic():
@@ -97,10 +97,10 @@ def test_grad_static_to_dynamic_composite():
 
 def test_grad_pieces():
     a = np.random.default_rng(3).random((2, 2))
-    gradcheck(lambda f, w: static_gcn(a, f, w),
+    gradcheck(lambda f, w: graph_conv(a, f, w),
               rng.standard_normal((1, 2, 3)), rng.standard_normal((3, 3)))
     gradcheck(lambda f, w: dynamic_adjacency(f, w),
               rng.standard_normal((1, 2, 3)), rng.standard_normal((6, 2)))
-    gradcheck(lambda ad, f, w: dynamic_gcn(ad.sigmoid(), f, w),
+    gradcheck(lambda ad, f, w: graph_conv(ad.sigmoid(), f, w),
               rng.standard_normal((1, 2, 2)), rng.standard_normal((1, 2, 3)),
               rng.standard_normal((3, 3)))

@@ -230,13 +230,11 @@ def full_checkpoint(tmp_path_factory) -> tuple[str, int]:
 
 def test_checkpoint_load_maps_the_file(full_checkpoint):
     """Reading the whole file held a private 7.08 MB copy of it; mapped,
-    the load holds only its dicts and array headers. Its peak adds the
-    finiteness mask of the largest record (one byte per value)."""
+    the load holds only its dicts and array headers."""
     path, _ = full_checkpoint
-    ckpt, held, peak = _traced(lambda: Checkpoint.load(path))
-    largest = max(v.size for v in ckpt.params.values())
+    _, held, peak = _traced(lambda: Checkpoint.load(path))
     assert held <= 256 * 1024, held
-    assert peak <= 256 * 1024 + largest, (peak, largest)
+    assert peak <= 256 * 1024, peak
 
 
 def test_build_model_holds_one_copy_of_each_weight(full_checkpoint):

@@ -365,6 +365,12 @@ def test_grad_resample():
     ((2, 8), (4, 4)),   # up in H, down in W
     ((4, 4), (3, 3)),   # no whole factor
     ((3, 5), (3, 5)),   # identity
+    # the ratios a `full` model resamples at 64 px: the FPN upsample, the
+    # three Gram maps stacked at the widest side, the style map to stages 3-4
+    ((2, 2), (4, 4)), ((8, 8), (32, 32)), ((16, 16), (32, 32)), ((32, 32), (32, 32)),
+    ((8, 8), (4, 4)), ((8, 8), (2, 2)),
+    # and at 96 px, where the style map's ratios are not whole
+    ((3, 3), (6, 6)), ((8, 8), (6, 6)), ((8, 8), (3, 3)),
 ])
 def test_resample_backward_matches_scatter_add(src, dst):
     r = np.random.default_rng(sum(src) + sum(dst))
@@ -602,7 +608,7 @@ def _every_op(x, w, b, gamma):
         img + img, img * 2.0, 1.0 - img, img / 4.0, T.grad_reverse(img),
         T.concat([img, img], axis=1), T.repeat_axis(img.sum(axis=1).reshape(2, 1, 4, 4), 1, 3),
         img.flatten(), img.sum(), img.mean(axis=0), img.max(axis=1), img.relu(),
-        img.leaky_relu(), img.sigmoid(), img.softmax(axis=1), img.clamp_min(0.0),
+        img.leaky_relu(0.2), img.sigmoid(), img.softmax(axis=1), img.clamp_min(0.0),
         img.clamp_min(0.1).log(),
     ]
 

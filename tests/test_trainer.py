@@ -94,6 +94,27 @@ def test_config_validation():
             TrainConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [dict(flip=2), dict(gram_normalize=0), dict(batch_size=4.0),
+                                 dict(epochs=1.0), dict(seed=0.0), dict(input_size=32.0),
+                                 dict(R=True), dict(lr=True), dict(ablation=["full"])],
+                         ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
+def test_config_rejects_a_value_of_another_type(bad):
+    # each of these once built a config that failed later, inside train() or
+    # Checkpoint.load, or raised a bare TypeError
+    (name, value), = bad.items()
+    with pytest.raises(ConfigurationError, match=f"^{name} must be of type"):
+        TrainConfig(**bad)
+
+
+def test_config_numpy_scalars_round_trip(tmp_path):
+    cfg = TrainConfig(R=np.int64(2), lr=np.float64(0.001), flip=np.True_, lam=1, input_size=32)
+    path = tmp_path / "np.ckpt"
+    _pinned_checkpoint(config=cfg).save(path)
+    assert Checkpoint.load(path).config == cfg
+    save_train_config(cfg, tmp_path / "np.cfg")
+    assert load_train_config(tmp_path / "np.cfg") == cfg
+
+
 def test_config_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         TrainConfig().mu = 0.5
@@ -459,6 +480,14 @@ def test_checkpoint_non_finite_value_is_a_format_error(corpus, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_checkpoint_record_whose_sum_overflows_loads(tmp_path):
+    ckpt = _pinned_checkpoint()
+    ckpt.params["stem/w"] = np.full((3, 4), 1e308)  # finite values, an infinite sum
+    path = tmp_path / "big.ckpt"
+    ckpt.save(path)
+    np.testing.assert_array_equal(Checkpoint.load(path).params["stem/w"], ckpt.params["stem/w"])
 
 
 def test_evaluate_label_mismatch(corpus, tmp_path):

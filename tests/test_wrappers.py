@@ -1,10 +1,14 @@
-"""No function of the package only hands its own parameters to another call.
+"""No function of the package only hands its own parameters to another call,
+and no two functions of the package have one body.
 
-Such a pass-through wrapper gives one rule a second name and a second
-place to change. This walks the syntax tree of every package module and
-flags each non-dunder function whose body, after the docstring, is a
-single ``return f(...)`` whose arguments are exactly the function's own
-parameters (a method's ``self`` or ``cls`` aside).
+Such a pass-through wrapper, or such a pair of twins, gives one rule a
+second name and a second place to change. This walks the syntax tree of
+every package module. It flags each non-dunder function whose body, after
+the docstring, is a single ``return f(...)`` whose arguments are exactly
+the function's own parameters (a method's ``self`` or ``cls`` aside). It
+also flags each pair of non-dunder module-level functions or methods
+whose bodies after the docstring are the same once each one's parameters
+are renamed by position.
 """
 import ast
 from pathlib import Path
@@ -20,6 +24,13 @@ ALLOWED = {
                             "bench/workloads.py calls it",
 }
 
+# twin name -> why it keeps its own body
+ALLOWED_TWINS = {
+    "layers.Conv1x1.params": "each layer names its own keys; Conv1x1 and Dense have the "
+                             "same two by chance, and a shared base would only move them",
+    "layers.Dense.params": "the twin of Conv1x1.params, for the same reason",
+}
+
 
 def _own_params(fn: ast.FunctionDef, in_class: bool) -> list[str]:
     a = fn.args
@@ -28,6 +39,14 @@ def _own_params(fn: ast.FunctionDef, in_class: bool) -> list[str]:
     if in_class and names and names[0] in ("self", "cls"):
         names = names[1:]
     return names
+
+
+def _body(fn: ast.FunctionDef) -> list[ast.stmt]:
+    """The function's statements after its docstring."""
+    stmts = fn.body
+    if stmts and isinstance(stmts[0], ast.Expr) and isinstance(stmts[0].value, ast.Constant):
+        return stmts[1:]
+    return stmts
 
 
 def _passed_names(call: ast.Call) -> list[str] | None:
@@ -52,9 +71,7 @@ def pass_through_wrappers(source: str, module: str) -> list[str]:
                 visit(node.body, f"{prefix}{node.name}.", False)
                 if node.name.startswith("__") and node.name.endswith("__"):
                     continue
-                stmts = node.body
-                if stmts and isinstance(stmts[0], ast.Expr) and isinstance(stmts[0].value, ast.Constant):
-                    stmts = stmts[1:]  # the docstring
+                stmts = _body(node)
                 if len(stmts) != 1 or not isinstance(stmts[0], ast.Return):
                     continue
                 call = stmts[0].value
@@ -92,3 +109,53 @@ def test_allowed_wrappers_still_exist():
     # an entry whose wrapper is gone would silently allow a new one of that name
     found = {name for path in MODULES for name in pass_through_wrappers(path.read_text(), path.stem)}
     assert set(ALLOWED) <= found
+
+
+def body_twins(sources: dict[str, str]) -> list[list[str]]:
+    """Each group of two or more `module.name`s, over every module-level
+    function and method of the sources (module name -> source), whose
+    bodies after the docstring are one syntax tree once each function's
+    parameters are renamed by position."""
+    groups: dict[str, list[str]] = {}
+
+    def visit(body, module: str, prefix: str) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, module, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                stmts = _body(node)
+                renamed = {name: f"_{i}" for i, name in enumerate(_own_params(node, False))}
+                for sub in (n for stmt in stmts for n in ast.walk(stmt)):
+                    if isinstance(sub, ast.Name) and sub.id in renamed:
+                        sub.id = renamed[sub.id]
+                key = ast.dump(ast.Module(body=stmts, type_ignores=[]))
+                groups.setdefault(key, []).append(f"{module}.{prefix}{node.name}")
+
+    for module, source in sources.items():
+        visit(ast.parse(source).body, module, "")
+    return [names for names in groups.values() if len(names) > 1]
+
+
+def test_no_two_functions_share_a_body():
+    twins = body_twins({path.stem: path.read_text() for path in MODULES})
+    assert [names for names in twins if not set(names) <= set(ALLOWED_TWINS)] == []
+    # an entry whose twin is gone would silently allow a new one of that name
+    assert set(ALLOWED_TWINS) <= {name for names in twins for name in names}
+
+
+def test_body_twins_are_caught():
+    gcn = ('def static(a, f, w):\n    """Static."""\n    return mm(mm(a, f), w).act(0.2)\n\n'
+           'def dynamic(adj, feats, weight):\n    """Dynamic."""\n'
+           "    return mm(mm(adj, feats), weight).act(0.2)\n\n"
+           "def swapped(f, a, w):\n    return mm(mm(a, f), w).act(0.2)\n\n"
+           "def slope(a, f, w):\n    return mm(mm(a, f), w).act(0.1)\n\n"
+           "def __add__(a, f, w):\n    return mm(mm(a, f), w).act(0.2)\n")
+    layers = ("class Dense:\n"
+              "    def params(self, prefix):\n        return {prefix: self.w}\n\n"
+              "    def keys(self, p):\n        return {p: self.w}\n\n"
+              "class Conv:\n"
+              "    def params(self, prefix):\n        return {prefix: self.b}\n")
+    assert body_twins({"gcn": gcn, "layers": layers}) == [
+        ["gcn.static", "gcn.dynamic"], ["layers.Dense.params", "layers.Dense.keys"]]
