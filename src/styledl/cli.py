@@ -110,10 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_synth)
 
-    p = sub.add_parser("build-adj", help="co-occurrence adjacency from a manifest")
+    p = sub.add_parser("build-adj", help="co-occurrence adjacency from a manifest",
+                       description="Training always builds this static label graph with the "
+                                   "defaults; other values give a graph no training uses.")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--threshold", type=float, default=0.3)
+    p.add_argument("--tau", type=float, default=0.1, help="presence cut in [0, 1] (%(default)s)")
+    p.add_argument("--threshold", type=float, default=0.3, help="edge cut in [0, 1] (%(default)s)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_build_adj)
 

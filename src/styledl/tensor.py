@@ -136,9 +136,7 @@ class Tensor:
         return matmul(self, other)
 
     # ----------------------------------------------------------- reshapes
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         new = self.data.reshape(shape)
         src_shape = self.data.shape
 
@@ -151,11 +149,7 @@ class Tensor:
         """Row-major flattening to a 1-d tensor."""
         return self.reshape(self.data.size)
 
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
+    def transpose(self, *axes: int) -> "Tensor":
         if sorted(axes) != list(range(self.data.ndim)):
             raise ContractViolation(f"transpose axes {axes} invalid for ndim {self.data.ndim}")
         inv = tuple(np.argsort(axes))
@@ -446,22 +440,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # ------------------------------------------------------------ convolution
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
-    """Unfold [B,C,H,W] into the [C*k*k, B*ho*wo] patch matrix.
+def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Unfold [B,C,H,W] into the [C*k*k, B*ho*wo] patch matrix of an odd
+    k x k kernel padded by k // 2, so ho = (H - 1) // stride + 1 and
+    wo = (W - 1) // stride + 1.
 
-    Padding happens here: for pad > 0 the input is written once into an
-    owned channel-major zero buffer [C, B, H+2*pad, W+2*pad]; a negative
-    pad crops -pad cells from every border instead. The k*k strided
+    Padding happens here: for k > 1 the input is written once into an
+    owned channel-major zero buffer [C, B, H+k-1, W+k-1]. The k*k strided
     slices are then copied into the returned matrix, which the caller owns.
     """
     bsz, cin, h, w = x.shape
+    pad = k // 2
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
     xt = x.transpose(1, 0, 2, 3)
-    if pad > 0:
+    if pad:
         xp = np.zeros((cin, bsz, h + 2 * pad, w + 2 * pad), dtype=np.float64)
         xp[:, :, pad : pad + h, pad : pad + w] = xt
         xt = xp
-    elif pad < 0:
-        xt = xt[:, :, -pad : h + pad, -pad : w + pad]
     cols = np.empty((cin, k, k, bsz, ho, wo), dtype=np.float64)
     for ki in range(k):
         for kj in range(k):
@@ -472,7 +467,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> n
 def _col2im(gcols: np.ndarray, gxt: np.ndarray, k: int, stride: int, ho: int, wo: int) -> None:
     """Adjoint of `_im2col`: scatter-add the patch gradients
     [C*k*k, b*ho*wo] into gxt, the padded channel-major gradient
-    [C, b, H+2*pad, W+2*pad] of those b samples (a view of the caller's
+    [C, b, H+k-1, W+k-1] of those b samples (a view of the caller's
     whole-batch buffer)."""
     cin, bsz = gxt.shape[:2]
     g6 = gcols.reshape(cin, k, k, bsz, ho, wo)
@@ -505,12 +500,12 @@ def _sample_chunks(bsz: int, sample_bytes: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + step, bsz)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-d cross-correlation over [B,Cin,H,W] with weight [Cout,Cin,k,k].
-
-    Output extent follows the floor convention
-    H' = (H + 2*pad - k) // stride + 1, which is what lets a 3x3
-    stride-2 kernel with pad 1 halve an even input exactly.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """2-d cross-correlation over [B,Cin,H,W] with weight [Cout,Cin,k,k],
+    k odd, and bias [Cout]: the one form the model runs, a biased 3x3 or
+    1x1 conv at stride 1 or 2. The input is padded by k // 2 ("half"
+    padding, Dumoulin & Visin, 2016), so each output extent is
+    H' = (H - 1) // stride + 1: stride 1 keeps H, stride 2 halves an even H.
 
     The forward unfolds the input (im2col, padding included) into a
     [Cin*k*k, b*H'*W'] patch matrix for a chunk of b samples, and one GEMM
@@ -519,17 +514,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     large as `_UNFOLD_BYTES` allows, so a small conv unfolds its whole
     batch at once. A split leaves each output column the same dot product
     over Cin*k*k, and the tests check that it keeps the bits of an unsplit
-    forward. A 1x1 conv is then one transpose copy and one GEMM. Each patch matrix is dropped as
-    soon as its GEMM is done, so the tape holds only x and w for a conv of
-    either stride: the backward unfolds again, chunked under the same cap.
+    forward. A 1x1 conv is then one transpose copy and one GEMM. Each
+    patch matrix is dropped as soon as its GEMM is done, so the tape holds
+    only x, w and b: the backward unfolds again, under the same cap.
 
-    A stride-1 backward unfolds the output gradient, padded by k-1-pad
-    (cropped when that is negative), into gcols [Cout*k*k, b*H*W] and
-    takes both gradients from it (Dumoulin & Visin, 2016): the input
-    gradient is the correlation of that padded gradient with the spatially
-    flipped kernel whose in and out channels are swapped, `wf @ gcols`;
-    the weight gradient is `x_cm @ gcols.T` with x in channel-major order
-    [Cin, b*H*W], which gives the flipped and transposed kernel gradient.
+    A stride-1 backward unfolds the output gradient, padded by the same
+    k // 2, into gcols [Cout*k*k, b*H*W] and takes both gradients from it
+    (Dumoulin & Visin, 2016): the input gradient is the correlation of
+    that padded gradient with the spatially flipped kernel whose in and
+    out channels are swapped, `wf @ gcols`; the weight gradient is
+    `x_cm @ gcols.T` with x in channel-major order [Cin, b*H*W], which
+    gives the flipped and transposed kernel gradient.
     A strided backward unfolds x again for the weight gradient,
     `g_cm @ cols.T`, and scatter-adds the patch gradients `wm.T @ g_cm`
     into one padded channel-major input gradient with `_col2im`
@@ -543,40 +538,44 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     The two backward algorithms stay apart on purpose. Running the strided
     one for stride 1 too cost 13.7% of `train.samples_per_s` on the
     `train-full` benchmark and 9.7% on `train-backbone-128` (medians of 3
-    and 2 alternating runs against the split code). The stride-1 backward
-    takes both gradients unconditionally: every stride-1 conv in the model
-    has x and w tracked, and `_accumulate` drops a gradient nothing tracks.
-    The strided one checks each, since the stem's input is an image.
+    and 2 alternating runs against the split code). A polyphase stride 2
+    (the stride-1 backward on each of the input's four even/odd phases,
+    with 2x2, 2x1, 1x2 and 1x1 sub-kernels, each phase's input gradient
+    written by strided assignment, no `_col2im`) matched the strided
+    backward's gradients within 2e-15 relative but was slower: 8.85 ms
+    against 6.96 for the seven stride-2 backwards of a 64 px `full` step,
+    21.55 against 16.49 for the five of a 128 px `B` step (batch 8, 16 for
+    `full`'s stages 3-4; 1 BLAS thread, best of 7x20 calls, 2-core VM).
+    The stride-1 backward takes both gradients unconditionally: every
+    stride-1 conv in the model has x and w tracked, and `_accumulate`
+    drops a gradient nothing tracks. The strided one checks each, since
+    the stem's input is an image.
     """
-    x, w = _coerce(x), _coerce(w)
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if x.data.ndim != 4:
         raise ContractViolation(f"conv2d input must be [B,C,H,W], got {x.shape}")
-    if w.data.ndim != 4 or w.data.shape[-1] != w.data.shape[-2]:
-        raise ContractViolation(f"conv2d weight must be [Cout,Cin,k,k], got {w.shape}")
+    if w.data.ndim != 4 or w.data.shape[-1] != w.data.shape[-2] or w.data.shape[-1] % 2 == 0:
+        raise ContractViolation(f"conv2d weight must be [Cout,Cin,k,k] with k odd, got {w.shape}")
     if x.data.shape[1] != w.data.shape[1]:
         raise ContractViolation(f"conv2d channels: input {x.shape} vs weight {w.shape}")
-    if stride < 1 or pad < 0:
-        raise ConfigurationError(f"conv2d stride={stride}, pad={pad}")
     bsz, cin, h, wid = x.data.shape
     cout, _, k, _ = w.data.shape
-    if h + 2 * pad < k or wid + 2 * pad < k:
-        raise ConfigurationError(f"kernel {k} exceeds padded input {h + 2 * pad}x{wid + 2 * pad}")
-    if b is not None and b.data.shape != (cout,):
+    if b.data.shape != (cout,):
         raise ContractViolation(f"conv2d bias shape {b.shape}, expected ({cout},)")
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (wid + 2 * pad - k) // stride + 1
+    if stride < 1 or h < 1 or wid < 1:
+        raise ConfigurationError(f"conv2d stride={stride} on a {h}x{wid} input")
+    pad = k // 2
+    ho, wo = (h - 1) // stride + 1, (wid - 1) // stride + 1
     hwo = ho * wo
     x_chunks = list(_sample_chunks(bsz, cin * k * k * hwo * 8))
     wm = w.data.reshape(cout, cin * k * k)
     out = np.empty((cout, bsz * hwo), dtype=np.float64)
     for lo, hi in x_chunks:
-        np.matmul(wm, _im2col(x.data[lo:hi], k, stride, pad, ho, wo), out=out[:, lo * hwo:hi * hwo])
-    if b is not None:
-        out += b.data[:, None]
-    parents = (x, w) if b is None else (x, w, b)
+        np.matmul(wm, _im2col(x.data[lo:hi], k, stride), out=out[:, lo * hwo:hi * hwo])
+    out += b.data[:, None]
 
     def grad_fn(g):
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             _accumulate(b, np.einsum("bchw->c", g))
         if not (x.requires_grad or w.requires_grad):
             return
@@ -587,7 +586,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             for lo, hi in x_chunks:
                 g_cm = g[lo:hi].transpose(1, 0, 2, 3).reshape(cout, (hi - lo) * hwo)
                 if w.requires_grad:
-                    part = g_cm @ _im2col(x.data[lo:hi], k, stride, pad, ho, wo).T
+                    part = g_cm @ _im2col(x.data[lo:hi], k, stride).T
                     gw = part if gw is None else gw + part
                 if x.requires_grad:
                     _col2im(wm.T @ g_cm, gxt[:, lo:hi], k, stride, ho, wo)
@@ -600,7 +599,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         wf = None
         gx_cm = np.empty((cin, bsz * hw), dtype=np.float64)
         for lo, hi in _sample_chunks(bsz, cout * k * k * hw * 8):
-            gcols = _im2col(g[lo:hi], k, 1, k - 1 - pad, h, wid)
+            gcols = _im2col(g[lo:hi], k, 1)
             part = x.data[lo:hi].transpose(1, 0, 2, 3).reshape(cin, (hi - lo) * hw) @ gcols.T
             gw = part if gw is None else gw + part
             del part
@@ -613,7 +612,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         _accumulate(w, gw.reshape(cin, cout, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
     out = np.ascontiguousarray(out.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3))
-    return _result(out, parents, grad_fn)
+    return _result(out, (x, w, b), grad_fn)
 
 
 # ------------------------------------------------------------- layer norm
@@ -693,9 +692,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def conv_block(x: Tensor, *blocks: tuple[Tensor, Tensor, Tensor, Tensor, int]) -> Tensor:
-    """A chain of blocks relu(layer_norm(conv2d(x, w, b, stride, pad=1),
-    gamma, beta)), each given as (w, b, gamma, beta, stride), as one tape
-    node, with the bits of the ops run one after another.
+    """A chain of blocks relu(layer_norm(conv2d(x, w, b, stride), gamma,
+    beta)), each given as (w, b, gamma, beta, stride), as one tape node,
+    with the bits of the ops run one after another. Each conv pads by
+    k // 2 as `conv2d` does, so a stride-1 block keeps the map's H x W
+    whatever its (odd) kernel.
 
     Each conv runs through the public `conv2d`; its output is private to
     this op, so it is normalized in place into x_hat, and each block's
@@ -730,7 +731,7 @@ def conv_block(x: Tensor, *blocks: tuple[Tensor, Tensor, Tensor, Tensor, int]) -
             # gradient `_accumulate` leaves as the conv's closure hands it
             inp = Tensor(out, requires_grad=track)
             inp._grad_fn = _spent
-        conv = conv2d(inp, w, b, stride=stride, pad=1)
+        conv = conv2d(inp, w, b, stride=stride)
         if i:
             inp.data = None  # the backward recomputes it
         xhat, inv_std, out = _ln_forward(conv.data, gamma, beta, out=conv.data)

@@ -31,8 +31,7 @@ from .tensor import SGD, Tensor, no_grad, skip_init
 # The public API, and `load_images`, which nothing here calls any more but
 # which stays a name of this module: bench/tracer.py patches it here.
 __all__ = ["CHECKPOINT_MAGIC", "Checkpoint", "EpochLog", "TrainConfig", "build_model", "evaluate",
-           "load_images", "load_train_config", "lr_at", "predict_batch", "save_train_config",
-           "train"]
+           "load_images", "load_train_config", "lr_at", "predict_batch", "train"]
 
 CHECKPOINT_MAGIC = b"SEDL1"
 
@@ -131,11 +130,6 @@ def load_train_config(path: str | Path) -> TrainConfig:
         else:
             values[key] = value
     return TrainConfig(**values)
-
-
-def save_train_config(cfg: TrainConfig, path: str | Path) -> None:
-    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in dataclasses.fields(TrainConfig)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:

@@ -95,13 +95,18 @@ def test_c02_gradient_integrity():
     gradcheck(lambda a: a.log(), r.random((3, 4)) + 0.5)
     gradcheck(lambda a: a.softmax(axis=1), r.standard_normal((3, 5)))
     gradcheck(lambda a: a.clamp_min(0.0), away_from_kinks(r.standard_normal((4, 4))))
-    gradcheck(lambda x, w, b: T.conv2d(x, w, b, stride=1, pad=1),
+    gradcheck(lambda x, w, b: T.conv2d(x, w, b),
               r.standard_normal((1, 3, 4, 4)), r.standard_normal((2, 3, 3, 3)),
               r.standard_normal(2))
-    gradcheck(lambda x, w: T.conv2d(x, w, stride=2, pad=1),
-              r.standard_normal((1, 2, 5, 5)), r.standard_normal((3, 2, 3, 3)))
-    gradcheck(lambda x, w: T.conv2d(x, w, stride=1, pad=0),
-              r.standard_normal((1, 2, 4, 4)), r.standard_normal((2, 2, 1, 1)))
+    gradcheck(lambda x, w, b: T.conv2d(x, w, b, stride=2),
+              r.standard_normal((1, 2, 5, 5)), r.standard_normal((3, 2, 3, 3)),
+              r.standard_normal(3))
+    gradcheck(lambda x, w, b: T.conv2d(x, w, b),
+              r.standard_normal((1, 2, 4, 4)), r.standard_normal((2, 2, 1, 1)),
+              r.standard_normal(2))
+    gradcheck(lambda x, w, b: T.conv2d(x, w, b, stride=2),
+              r.standard_normal((1, 2, 5, 5)), r.standard_normal((2, 2, 1, 1)),
+              r.standard_normal(2))
     gradcheck(lambda x, g, b: T.layer_norm(x, g, b),
               r.standard_normal((2, 3, 2, 2)), r.random(3) + 0.5, r.standard_normal(3))
     gradcheck(lambda a: T.resample_nearest(a, 4, 4), r.standard_normal((1, 2, 2, 2)))

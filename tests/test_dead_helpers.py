@@ -12,6 +12,12 @@ A public `Tensor` method that only the tests call is dead the same way. It
 counts as read when `src/`, `bench/` or `scripts/` names it as an
 attribute, a bare name or a string constant: the benchmark tracer patches
 methods by name (``("reshape", "shape")``).
+
+So is a public module-level function or class of the package that nothing
+in `src/`, `bench/` or `scripts/` reads by those three ways or imports: an
+import counts, also under another name (``from .fusion import
+pooled_scores as emotion_distribution``), but a string in an ``__all__``
+list does not, since listing a name exports it without using it.
 """
 import ast
 from pathlib import Path
@@ -43,6 +49,16 @@ def _reads(tree: ast.Module, strings: bool = False) -> set[str]:
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             read.add(node.value)
     return read
+
+
+def _strings_outside_all(tree: ast.Module) -> set[str]:
+    """The string constants of a module, except those of an ``__all__ =``
+    list, which export names without using them."""
+    listing = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+               for node in ast.walk(stmt.value)}
+    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in listing}
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
@@ -100,3 +116,40 @@ def test_unread_public_method_is_caught():
         "b": "import a\nPATCH = ('named',)\nprint(a.Tensor().used(), a.Tensor().shape)\n",
     }
     assert unread_public_methods("Tensor", sources) == ["Tensor.dead"]
+
+
+def unread_public_names(package: dict[str, str], users: dict[str, str]) -> list[str]:
+    """`module.name` for every public module-level function or class of
+    the `package` sources that no `users` source reads, imports or names
+    in a string outside ``__all__``."""
+    read = set()
+    for source in users.values():
+        tree = ast.parse(source)
+        read |= _reads(tree) | _strings_outside_all(tree)
+        read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+    return [f"{module}.{node.name}" for module, source in package.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_no_unread_public_names():
+    package = {p.stem: p.read_text() for p in MODULES}
+    users = {str(p.relative_to(ROOT)): p.read_text() for p in USERS}
+    assert unread_public_names(package, users) == []
+
+
+def test_unread_public_name_is_caught():
+    package = {
+        "a": ("__all__ = ['listed', 'used']\n\n"
+              "def used():\n    return 1\n\n"
+              "def aliased():\n    return 2\n\n"
+              "def patched():\n    return 3\n\n"
+              "def listed():\n    return 4\n\n"
+              "class Unread:\n    pass\n\n"
+              "def _private():\n    return 5\n"),
+    }
+    users = dict(package, b="from a import aliased as other\nPATCH = ('patched',)\nprint(other())\n",
+                 c="import a\nprint(a.used())\n")
+    assert unread_public_names(package, users) == ["a.listed", "a.Unread"]

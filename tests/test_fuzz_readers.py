@@ -1,11 +1,13 @@
 """Every file reader fails only with a `styledl.errors` type on damaged input.
 
-Each case takes a real file the program wrote (manifest, PPM, config,
-report JSON, checkpoint), flips, cuts and inserts bytes, and reads it back.
+Each case takes a real file the program wrote (manifest, PPM, report
+JSON, checkpoint) or a config file listing every `TrainConfig` field, flips,
+cuts and inserts bytes, and reads it back.
 A mutated file may still load: a flipped payload byte of a checkpoint or
 an image is a different but well-formed file, so only the error type is
 checked, not what loads.
 """
+import dataclasses
 import struct
 
 import pytest
@@ -17,8 +19,7 @@ from styledl.dataio import load_manifest, load_ppm, synth_generate
 from styledl.errors import (ConfigurationError, ContractViolation, FormatError, TrainingError,
                             ValidationError)
 from styledl.metrics import evaluate_metrics, load_report
-from styledl.training import (CHECKPOINT_MAGIC, Checkpoint, TrainConfig, load_train_config,
-                              save_train_config, train)
+from styledl.training import CHECKPOINT_MAGIC, Checkpoint, TrainConfig, load_train_config, train
 
 # One SEDL1 record of rank 65 whose extents are all 0, so its empty
 # payload fits the file; numpy cannot build an array of that rank.
@@ -46,7 +47,8 @@ def originals(tmp_path_factory):
     root = tmp_path_factory.mktemp("originals")
     manifest = synth_generate(seed=2, n_samples=3, n_labels=4, input_size=8, out_dir=root)
     cfg = TrainConfig(ablation="B", input_size=32, epochs=1, batch_size=3, flip=False)
-    save_train_config(cfg, root / "train.cfg")
+    (root / "train.cfg").write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n"
+                                            for f in dataclasses.fields(cfg)), encoding="utf-8")
     targets = manifest.distributions()
     (root / "report.json").write_text(
         evaluate_metrics(targets, targets[::-1]).to_json(name="x"), encoding="utf-8")

@@ -50,8 +50,8 @@ OPS = {
     "sigmoid": (1, (), lambda a: a.sigmoid()),
     "softmax": (1, (), lambda a: a.softmax(axis=1)),
     "transpose": (1, (), lambda a: a.transpose(0, 1, 3, 2)),
-    "conv2d_s1": (1, (W3, VEC), lambda a, w, b: T.conv2d(a, w, b, stride=1, pad=1)),
-    "conv2d_s2": (1, (W3, VEC), lambda a, w, b: _up(T.conv2d(a, w, b, stride=2, pad=1))),
+    "conv2d_s1": (1, (W3, VEC), lambda a, w, b: T.conv2d(a, w, b)),
+    "conv2d_s2": (1, (W3, VEC), lambda a, w, b: _up(T.conv2d(a, w, b, stride=2))),
     "conv_block_s1": (1, (W3, VEC, VEC, VEC),
                       lambda a, w, b, g, be: T.conv_block(a, (w, b, g, be, 1))),
     "conv_block_s2": (1, (W3, VEC, VEC, VEC),

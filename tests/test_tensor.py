@@ -107,27 +107,32 @@ def test_grad_conv2d():
     x = rng.standard_normal((2, 3, 5, 5))
     w = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
-    gradcheck(lambda a, c, d: T.conv2d(a, c, d, stride=1, pad=1), x, w, b)
-    gradcheck(lambda a, c: T.conv2d(a, c, stride=2, pad=1),
-              rng.standard_normal((1, 2, 6, 6)), rng.standard_normal((3, 2, 3, 3)))
-    gradcheck(lambda a, c: T.conv2d(a, c, stride=1, pad=0),
-              rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 1, 1)))
+    gradcheck(lambda a, c, d: T.conv2d(a, c, d), x, w, b)
+    gradcheck(lambda a, c, d: T.conv2d(a, c, d, stride=2),
+              rng.standard_normal((1, 2, 6, 6)), rng.standard_normal((3, 2, 3, 3)),
+              rng.standard_normal(3))
+    gradcheck(lambda a, c, d: T.conv2d(a, c, d),
+              rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 1, 1)),
+              rng.standard_normal(2))
     # batches > 1 mix samples in one im2col matrix; each must get its own gradient
     for bsz in (2, 3):
-        gradcheck(lambda a, c, d: T.conv2d(a, c, d, stride=2, pad=1),
+        gradcheck(lambda a, c, d: T.conv2d(a, c, d, stride=2),
                   rng.standard_normal((bsz, 2, 6, 6)), rng.standard_normal((3, 2, 3, 3)),
                   rng.standard_normal(3))
         gradcheck(lambda a, c, d: T.conv2d(a, c, d),
                   rng.standard_normal((bsz, 3, 3, 3)), rng.standard_normal((2, 3, 1, 1)),
                   rng.standard_normal(2))
-        gradcheck(lambda a, c: T.conv2d(a, c, stride=2, pad=1),
-                  rng.standard_normal((bsz, 2, 5, 7)), rng.standard_normal((2, 2, 3, 3)))
+        gradcheck(lambda a, c, d: T.conv2d(a, c, d, stride=2),
+                  rng.standard_normal((bsz, 2, 5, 7)), rng.standard_normal((2, 2, 3, 3)),
+                  rng.standard_normal(2))
 
 
-def _conv_reference(x, w, b, stride, pad, proj):
-    """Forward and the three gradients of sum(conv(x) * proj), by direct loops."""
+def _conv_reference(x, w, b, stride, proj):
+    """Forward and the three gradients of sum(conv(x) * proj), by direct
+    loops over x zero-padded by k // 2."""
     bsz, cin, h, wid = x.shape
     cout, _, k, _ = w.shape
+    pad = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ho = (h + 2 * pad - k) // stride + 1
     wo = (wid + 2 * pad - k) // stride + 1
@@ -145,38 +150,39 @@ def _conv_reference(x, w, b, stride, pad, proj):
     return out, gxp[:, :, pad:pad + h, pad:pad + wid], gw, proj.sum(axis=(0, 2, 3))
 
 
+# ids read pad-stride-k, the pad being k // 2
+K_STRIDE = [pytest.param(k, stride, id=f"{k // 2}-{stride}-{k}")
+            for k in (1, 3) for stride in (1, 2)]
+
+
 @pytest.mark.parametrize("bsz", [1, 3])
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("pad", [0, 1, 2])
-def test_conv2d_matches_loop_reference(bsz, k, stride, pad):
-    r = np.random.default_rng(100 * bsz + 10 * k + 2 * stride + pad)
+@pytest.mark.parametrize("k, stride", K_STRIDE)
+def test_conv2d_matches_loop_reference(bsz, k, stride):
+    r = np.random.default_rng(100 * bsz + 10 * k + 2 * stride)
     x = Tensor(r.standard_normal((bsz, 3, 5, 6)), requires_grad=True)
     w = Tensor(r.standard_normal((4, 3, k, k)), requires_grad=True)
     b = Tensor(r.standard_normal(4), requires_grad=True)
-    out = T.conv2d(x, w, b, stride=stride, pad=pad)
+    out = T.conv2d(x, w, b, stride=stride)
     proj = r.standard_normal(out.shape)
     (out * Tensor(proj)).sum().backward()
-    ref_out, ref_gx, ref_gw, ref_gb = _conv_reference(x.data, w.data, b.data, stride, pad, proj)
+    ref_out, ref_gx, ref_gw, ref_gb = _conv_reference(x.data, w.data, b.data, stride, proj)
     for got, want in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw), (b.grad, ref_gb)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("k, stride", K_STRIDE)
 @pytest.mark.parametrize("tracked", ["x", "w"])
-def test_conv2d_one_tracked_operand_matches_loop_reference(k, stride, pad, tracked):
+def test_conv2d_one_tracked_operand_matches_loop_reference(k, stride, tracked):
     """With only x or only w tracked, the backward takes the branch that
     computes that one gradient and still matches the loops."""
-    r = np.random.default_rng(1000 + 10 * k + 2 * stride + pad)
+    r = np.random.default_rng(1000 + 10 * k + 2 * stride)
     x = Tensor(r.standard_normal((2, 3, 5, 6)), requires_grad=tracked == "x")
     w = Tensor(r.standard_normal((4, 3, k, k)), requires_grad=tracked == "w")
     b = Tensor(r.standard_normal(4))
-    out = T.conv2d(x, w, b, stride=stride, pad=pad)
+    out = T.conv2d(x, w, b, stride=stride)
     proj = r.standard_normal(out.shape)
     (out * Tensor(proj)).sum().backward()
-    _, ref_gx, ref_gw, _ = _conv_reference(x.data, w.data, b.data, stride, pad, proj)
+    _, ref_gx, ref_gw, _ = _conv_reference(x.data, w.data, b.data, stride, proj)
     got, want, untracked = (x.grad, ref_gx, w) if tracked == "x" else (w.grad, ref_gw, x)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     assert got.flags.c_contiguous and untracked.grad is None and b.grad is None
@@ -194,7 +200,7 @@ def test_conv_keeps_no_patch_matrix():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = T.conv2d(x, w, b, stride=stride, pad=1)
+            out = T.conv2d(x, w, b, stride=stride)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -215,12 +221,12 @@ def test_conv_split_unfold_matches_loop_reference(monkeypatch, stride, side):
 
     def run():
         x, w, b = (Tensor(a, requires_grad=True) for a in (x_data, w_data, b_data))
-        out = T.conv2d(x, w, b, stride=stride, pad=1)
+        out = T.conv2d(x, w, b, stride=stride)
         (out * Tensor(proj)).sum().backward()
         return out.data, x.grad, w.grad, b.grad
 
     split = run()
-    for got, want in zip(split, _conv_reference(x_data, w_data, b_data, stride, 1, proj)):
+    for got, want in zip(split, _conv_reference(x_data, w_data, b_data, stride, proj)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     monkeypatch.setattr(T, "_UNFOLD_BYTES", 1 << 40)
     whole = run()
@@ -234,10 +240,10 @@ def test_conv2d_batch_rows_match_batch_one():
     x = r.standard_normal((5, 4, 7, 7))
     w = Tensor(r.standard_normal((6, 4, 3, 3)))
     b = Tensor(r.standard_normal(6))
-    for stride, pad in ((1, 1), (2, 1), (2, 0)):
-        batch = T.conv2d(Tensor(x), w, b, stride=stride, pad=pad).data
+    for stride in (1, 2):
+        batch = T.conv2d(Tensor(x), w, b, stride=stride).data
         for n in range(len(x)):
-            one = T.conv2d(Tensor(x[n:n + 1]), w, b, stride=stride, pad=pad).data
+            one = T.conv2d(Tensor(x[n:n + 1]), w, b, stride=stride).data
             np.testing.assert_allclose(batch[n:n + 1], one, rtol=1e-12, atol=1e-12)
 
 
@@ -294,7 +300,7 @@ def test_conv_block_has_the_bits_of_three_ops(bsz, stride, track_x):
     seed = 10 * bsz + stride
     fused = _block_inputs(bsz, track_x, seed)
     x, w, b, gamma, beta = three = _block_inputs(bsz, track_x, seed)
-    want = T.layer_norm(T.conv2d(x, w, b, stride=stride, pad=1), gamma, beta).relu()
+    want = T.layer_norm(T.conv2d(x, w, b, stride=stride), gamma, beta).relu()
     got = T.conv_block(fused[0], (*fused[1:], stride))
     proj = np.random.default_rng(seed).standard_normal(got.shape)
     for out in (want, got):
@@ -341,6 +347,20 @@ def test_conv_chain_has_the_bits_of_its_blocks_one_at_a_time(strides, track_x):
     for chained, apart in zip(chain_blocks, apart_blocks):
         for c, a in zip(chained[:4], apart[:4]):
             np.testing.assert_array_equal(c.grad, a.grad)
+
+
+def test_conv_block_pads_by_half_the_kernel():
+    """A 1x1 block keeps the map's H x W, as a 3x3 one does, and has the
+    bits of conv2d -> layer_norm -> relu."""
+    r = np.random.default_rng(9)
+    x = Tensor(r.standard_normal((2, 3, 5, 5)))
+    w, b, gamma, beta = (Tensor(a, requires_grad=True) for a in (
+        r.standard_normal((4, 3, 1, 1)), r.standard_normal(4), r.random(4) + 0.5,
+        r.standard_normal(4)))
+    got = T.conv_block(x, (w, b, gamma, beta, 1))
+    assert got.shape == (2, 4, 5, 5)
+    np.testing.assert_array_equal(got.data,
+                                  T.layer_norm(T.conv2d(x, w, b), gamma, beta).relu().data)
 
 
 def test_conv_block_is_one_tape_node():
@@ -544,23 +564,40 @@ def test_matmul_rejects_vectors():
 
 
 def test_conv2d_validation():
-    x = Tensor(np.ones((1, 3, 8, 8)))
+    x, w, b = Tensor(np.ones((1, 3, 8, 8))), Tensor(np.ones((4, 3, 3, 3))), Tensor(np.ones(4))
     with pytest.raises(ContractViolation):
-        T.conv2d(Tensor(np.ones((3, 8, 8))), Tensor(np.ones((4, 3, 3, 3))))
+        T.conv2d(Tensor(np.ones((3, 8, 8))), w, b)
     with pytest.raises(ContractViolation):
-        T.conv2d(x, Tensor(np.ones((4, 2, 3, 3))))
+        T.conv2d(x, Tensor(np.ones((4, 2, 3, 3))), b)
+    with pytest.raises(ContractViolation):
+        T.conv2d(x, w, Tensor(np.ones(3)))
     with pytest.raises(ConfigurationError):
-        T.conv2d(x, Tensor(np.ones((4, 3, 3, 3))), stride=0)
+        T.conv2d(x, w, b, stride=0)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_conv2d_rejects_an_even_kernel(k):
+    """Half padding, k // 2 on every side, centers only an odd kernel."""
+    with pytest.raises(ContractViolation, match="k odd"):
+        T.conv2d(Tensor(np.ones((1, 3, 8, 8))), Tensor(np.ones((4, 3, k, k))), Tensor(np.ones(4)))
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 0, 8), (1, 3, 8, 0)])
+def test_conv2d_rejects_an_empty_spatial_extent(shape):
     with pytest.raises(ConfigurationError):
-        T.conv2d(Tensor(np.ones((1, 3, 2, 2))), Tensor(np.ones((4, 3, 5, 5))))
+        T.conv2d(Tensor(np.ones(shape)), Tensor(np.ones((4, 3, 3, 3))), Tensor(np.ones(4)))
 
 
 def test_conv2d_output_shape_floor():
-    x = Tensor(np.ones((1, 1, 7, 7)))
-    w = Tensor(np.ones((1, 1, 3, 3)))
-    assert T.conv2d(x, w, stride=2, pad=1).shape == (1, 1, 4, 4)
-    assert T.conv2d(x, w, stride=1, pad=1).shape == (1, 1, 7, 7)
-    assert T.conv2d(x, w, stride=2, pad=0).shape == (1, 1, 3, 3)
+    """H' = (H - 1) // stride + 1 for either kernel, also where the kernel
+    exceeds the input."""
+    x, b = Tensor(np.ones((1, 1, 7, 7))), Tensor(np.ones(1))
+    for k in (1, 3):
+        w = Tensor(np.ones((1, 1, k, k)))
+        assert T.conv2d(x, w, b, stride=2).shape == (1, 1, 4, 4)
+        assert T.conv2d(x, w, b).shape == (1, 1, 7, 7)
+    assert T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))), b).shape == (
+        1, 1, 2, 2)
 
 
 def test_item_and_detach():
@@ -598,13 +635,13 @@ def test_sigmoid_bounded_and_stable(seed):
 # ---------------------------------------------------------------- no_grad
 def _every_op(x, w, b, gamma):
     """One output per op kind, all built from tracked inputs."""
-    img = T.conv2d(x, w, b, stride=1, pad=1)
+    img = T.conv2d(x, w, b)
     flat = img.reshape(2, -1)
     return [
-        img, T.conv2d(x, w, stride=2, pad=1), T.layer_norm(img, gamma, b),
+        img, T.conv2d(x, w, b, stride=2), T.layer_norm(img, gamma, b),
         T.conv_block(x, (w, b, gamma, b, 1)),
         T.resample_nearest(img, 3, 3), T.resample_nearest(img, 8, 8),
-        flat @ flat.transpose(), T.linear(flat, flat.transpose(), Tensor(np.ones(2))),
+        flat @ flat.transpose(1, 0), T.linear(flat, flat.transpose(1, 0), Tensor(np.ones(2))),
         img + img, img * 2.0, 1.0 - img, img / 4.0, T.grad_reverse(img),
         T.concat([img, img], axis=1), T.repeat_axis(img.sum(axis=1).reshape(2, 1, 4, 4), 1, 3),
         img.flatten(), img.sum(), img.mean(axis=0), img.max(axis=1), img.relu(),

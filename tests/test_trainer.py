@@ -18,8 +18,7 @@ from styledl.metrics import evaluate_metrics
 from styledl.model import ABLATION_PRESETS
 from styledl.tensor import SGD, Tensor, no_grad, skip_init
 from styledl.training import (Checkpoint, TrainConfig, build_model, evaluate,
-                           load_train_config, lr_at, predict_batch, save_train_config,
-                           train)
+                           load_train_config, lr_at, predict_batch, train)
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +38,17 @@ def _fast_cfg(**kw):
 
 
 # ---------------------------------------------------------------- config
+def _write_config(cfg, path):
+    """The config as the key=value lines `load_train_config` reads."""
+    path.write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n"
+                            for f in dataclasses.fields(cfg)), encoding="utf-8")
+
+
 def test_config_round_trip(tmp_path):
     cfg = TrainConfig(R=3, lam=0.5, mu=0.4, lr=0.02, epochs=7, ablation="B+G",
                       flip=False, seed=9)
     path = tmp_path / "train.cfg"
-    save_train_config(cfg, path)
+    _write_config(cfg, path)
     assert load_train_config(path) == cfg
 
 
@@ -111,7 +116,7 @@ def test_config_numpy_scalars_round_trip(tmp_path):
     path = tmp_path / "np.ckpt"
     _pinned_checkpoint(config=cfg).save(path)
     assert Checkpoint.load(path).config == cfg
-    save_train_config(cfg, tmp_path / "np.cfg")
+    _write_config(cfg, tmp_path / "np.cfg")
     assert load_train_config(tmp_path / "np.cfg") == cfg
 
 
