@@ -1,7 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small. Values are row-major numpy arrays in
-float64. Each op builds the implicit graph by storing its parents and a
+The engine is deliberately small. Values are numpy arrays in float64,
+row-major with one exception: `conv2d` returns the output of a conv
+whose output side is at most `_BATCH_INNER_SIDE` (8) and below its batch
+as an NCHW-shaped view of a batch-innermost [C,H,W,B] buffer.
+Shapes stay NCHW everywhere; only such an array's strides differ, and
+the ops that read it take it in place (numpy gives an elementwise result
+its inputs' memory order, and the layer-norm sums run in either order).
+Each op builds the implicit graph by storing its parents and a
 gradient closure on the output tensor; ``backward()`` walks that DAG
 once in reverse topological order and accumulates gradients additively,
 so fan-out sums contributions exactly. The walk consumes the tape: it
@@ -440,40 +446,79 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # ------------------------------------------------------------ convolution
-def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Unfold [B,C,H,W] into the [C*k*k, B*ho*wo] patch matrix of an odd
-    k x k kernel padded by k // 2, so ho = (H - 1) // stride + 1 and
-    wo = (W - 1) // stride + 1.
+# conv2d works in a channel-major buffer: [C, B, H, W], or [C, H, W, B]
+# ("batch-innermost", bi below) when its output side is at most
+# _BATCH_INNER_SIDE and below its batch. `_order` gives such a buffer's
+# shape and `_hwb` indexes either order as [C, H, W, B].
+def _order(bsz: int, h: int, w: int, bi: bool) -> tuple[int, int, int]:
+    """The non-channel extents of a channel-major buffer, in memory order."""
+    return (h, w, bsz) if bi else (bsz, h, w)
+
+
+def _hwb(a: np.ndarray, bi: bool) -> np.ndarray:
+    """A channel-major buffer as a [C, H, W, B] view."""
+    return a if bi else a.transpose(0, 2, 3, 1)
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, bi: bool) -> np.ndarray:
+    """Unfold [B,C,H,W], in any memory order, into the [C*k*k, B*ho*wo]
+    patch matrix of an odd k x k kernel padded by k // 2, so
+    ho = (H - 1) // stride + 1 and wo = (W - 1) // stride + 1. The
+    columns run over (b, i, j), or over (i, j, b) when `bi`.
 
     Padding happens here: for k > 1 the input is written once into an
-    owned channel-major zero buffer [C, B, H+k-1, W+k-1]. The k*k strided
-    slices are then copied into the returned matrix, which the caller owns.
+    owned channel-major zero buffer, [C, B, H+k-1, W+k-1] or, when `bi`,
+    [C, H+k-1, W+k-1, B]. The k*k strided slices are then copied into the
+    returned matrix, runs of wo values or, when `bi`, of wo*B. For a 1x1
+    stride-1 unfold the matrix is x itself in that order: a view of x's
+    buffer when x already lies so (any batch-innermost x, or batch 1),
+    else one transposing copy. The caller must not write into it.
     """
     bsz, cin, h, w = x.shape
+    if k == 1 and stride == 1:
+        return x.transpose((1, 2, 3, 0) if bi else (1, 0, 2, 3)).reshape(cin, -1)
     pad = k // 2
     ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-    xt = x.transpose(1, 0, 2, 3)
+    xs = x.transpose(1, 2, 3, 0)
     if pad:
-        xp = np.zeros((cin, bsz, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-        xp[:, :, pad : pad + h, pad : pad + w] = xt
-        xt = xp
-    cols = np.empty((cin, k, k, bsz, ho, wo), dtype=np.float64)
+        xp = _hwb(np.zeros((cin,) + _order(bsz, h + 2 * pad, w + 2 * pad, bi),
+                           dtype=np.float64), bi)
+        xp[:, pad:pad + h, pad:pad + w] = xs
+        xs = xp
+    cols = np.empty((cin, k, k) + _order(bsz, ho, wo, bi), dtype=np.float64)
+    dst = cols if bi else cols.transpose(0, 1, 2, 4, 5, 3)
     for ki in range(k):
         for kj in range(k):
-            cols[:, ki, kj] = xt[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride]
-    return cols.reshape(cin * k * k, bsz * ho * wo)
+            dst[:, ki, kj] = xs[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+    return cols.reshape(cin * k * k, -1)
 
 
-def _col2im(gcols: np.ndarray, gxt: np.ndarray, k: int, stride: int, ho: int, wo: int) -> None:
+def _col2im(gcols: np.ndarray, gxt: np.ndarray, k: int, stride: int, ho: int, wo: int,
+            bi: bool) -> None:
     """Adjoint of `_im2col`: scatter-add the patch gradients
-    [C*k*k, b*ho*wo] into gxt, the padded channel-major gradient
-    [C, b, H+k-1, W+k-1] of those b samples (a view of the caller's
-    whole-batch buffer)."""
-    cin, bsz = gxt.shape[:2]
-    g6 = gcols.reshape(cin, k, k, bsz, ho, wo)
+    [C*k*k, b*ho*wo] into gxt, the padded channel-major gradient of those
+    b samples as a [C, H+k-1, W+k-1, b] view of the caller's whole-batch
+    buffer."""
+    cin, bsz = gxt.shape[0], gxt.shape[-1]
+    g6 = gcols.reshape((cin, k, k) + _order(bsz, ho, wo, bi))
+    if not bi:
+        g6 = g6.transpose(0, 1, 2, 4, 5, 3)
     for ki in range(k):
         for kj in range(k):
-            gxt[:, :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += g6[:, ki, kj]
+            gxt[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += g6[:, ki, kj]
+
+
+def _gemm_into(a: np.ndarray, cols: np.ndarray, buf: np.ndarray, lo: int, hi: int,
+               bi: bool) -> None:
+    """Write a @ cols, the columns of samples lo:hi, into the channel-major
+    buffer `buf`. Channel-major, they are one column block of it, and so
+    is a whole batch-innermost one; a batch-innermost chunk's columns
+    interleave with the other samples', so it goes through a temporary."""
+    if bi and hi - lo < buf.shape[-1]:
+        buf[..., lo:hi] = (a @ cols).reshape(buf.shape[:3] + (hi - lo,))
+    else:
+        per = cols.shape[1] // (hi - lo)
+        np.matmul(a, cols, out=buf.reshape(len(buf), -1)[:, lo * per:hi * per])
 
 
 # Cap on the bytes of every patch matrix conv2d unfolds, forward and
@@ -490,6 +535,9 @@ def _col2im(gcols: np.ndarray, gxt: np.ndarray, k: int, stride: int, ho: int, wo
 # workspace or raised thresholds did not move the benchmark's rates; so
 # neither is added.
 _UNFOLD_BYTES = 2 << 20
+# Largest output side that conv2d computes batch-innermost (for a batch
+# above that side); see its docstring.
+_BATCH_INNER_SIDE = 8
 
 
 def _sample_chunks(bsz: int, sample_bytes: int) -> Iterator[tuple[int, int]]:
@@ -507,33 +555,59 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     padding, Dumoulin & Visin, 2016), so each output extent is
     H' = (H - 1) // stride + 1: stride 1 keeps H, stride 2 halves an even H.
 
+    The work happens in channel-major buffers, [C, B, H, W], or
+    batch-innermost [C, H, W, B] when the output side S = max(H', W') is
+    at most `_BATCH_INNER_SIDE` and below the batch B. The choice comes
+    from the output size and batch alone, never from x's memory order, so
+    an input given in either order gives the same bits. A stride-1
+    unfold copies runs of W' values channel-major and of W'*B
+    batch-innermost; a stride-2 one copies W' values (every other one)
+    against runs of B, so batch-innermost pays once B exceeds the side.
+    On the model's stage 2-4 chains (output sides 8, 4, 2; 1 BLAS
+    thread) batch-innermost forwards took 1.35, 1.13 and 1.00 of the
+    channel-major time at batch 2 and 0.89, 0.80 and 0.70 at batch 16;
+    with B above 1 as the only condition a single-image `predict_batch`
+    (batch 2 in stages 3-4, which run both attention orders) took 3.5%
+    longer. Larger maps stay channel-major: run batch-innermost, the
+    128 px stem chain's backward took 21.9 ms against 12.4. A
+    batch-innermost output is returned as an NCHW-shaped view of its
+    buffer, with no copy, so chained convs, layer norm and relu read it
+    in place; a channel-major one is copied to C order. Which layout is
+    faster depends on the layer's shape (Li et al., SC 2016, NCHW
+    against CHWN on GPUs).
+
     The forward unfolds the input (im2col, padding included) into a
     [Cin*k*k, b*H'*W'] patch matrix for a chunk of b samples, and one GEMM
-    with the [Cout, Cin*k*k] weight writes that chunk's columns of one
-    [Cout, B*H'*W'] output (Chellapilla et al., 2006). The chunks are as
-    large as `_UNFOLD_BYTES` allows, so a small conv unfolds its whole
-    batch at once. A split leaves each output column the same dot product
-    over Cin*k*k, and the tests check that it keeps the bits of an unsplit
-    forward. A 1x1 conv is then one transpose copy and one GEMM. Each
-    patch matrix is dropped as soon as its GEMM is done, so the tape holds
-    only x, w and b: the backward unfolds again, under the same cap.
+    with the [Cout, Cin*k*k] weight writes that chunk's columns of the
+    output buffer (Chellapilla et al., 2006). The chunks are as large as
+    `_UNFOLD_BYTES` allows, so a small conv unfolds its whole batch at
+    once. A split leaves each output column the same dot product over
+    Cin*k*k, and the tests check that it keeps the bits of an unsplit
+    forward. A 1x1 stride-1 conv is one GEMM on x's own buffer when x is
+    batch-innermost, else on one transposing copy. The output buffer is
+    made after the first unfold, once that unfold's padded copy of x is
+    freed, so the two are never held together. Each patch matrix is
+    dropped as soon as its GEMM is done, so the tape holds only x, w and
+    b: the backward unfolds again, under the same cap, in the same order.
 
     A stride-1 backward unfolds the output gradient, padded by the same
     k // 2, into gcols [Cout*k*k, b*H*W] and takes both gradients from it
     (Dumoulin & Visin, 2016): the input gradient is the correlation of
     that padded gradient with the spatially flipped kernel whose in and
     out channels are swapped, `wf @ gcols`; the weight gradient is
-    `x_cm @ gcols.T` with x in channel-major order [Cin, b*H*W], which
-    gives the flipped and transposed kernel gradient.
+    `x_cm @ gcols.T` with x_cm the 1x1 unfold of x, [Cin, b*H*W], which
+    gives the flipped and transposed kernel gradient. wf is copied for
+    each chunk and dropped before that product, so an unsplit backward
+    never holds wf and the weight gradient together.
     A strided backward unfolds x again for the weight gradient,
     `g_cm @ cols.T`, and scatter-adds the patch gradients `wm.T @ g_cm`
     into one padded channel-major input gradient with `_col2im`
     (recomputing the unfold instead of storing it: Chen et al., 2016).
     Either way each chunk writes its own samples of one channel-major
-    input gradient [Cin, B, H, W], handed over as a transposed view, and
-    the weight gradient is summed over the chunks; a split therefore
-    changes only the weight gradient's summation order. The bias gradient
-    sums g over batch and space.
+    input gradient, handed over as a view, and the weight gradient is
+    summed over the chunks; a split therefore changes only the weight
+    gradient's summation order. The bias gradient sums g over batch and
+    space.
 
     The two backward algorithms stay apart on purpose. Running the strided
     one for stride 1 too cost 13.7% of `train.samples_per_s` on the
@@ -546,6 +620,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     against 6.96 for the seven stride-2 backwards of a 64 px `full` step,
     21.55 against 16.49 for the five of a 128 px `B` step (batch 8, 16 for
     `full`'s stages 3-4; 1 BLAS thread, best of 7x20 calls, 2-core VM).
+    Other dead ends, as ratios of the time with them to the time without
+    (in-process alternating pairs, 1 BLAS thread, 2-core VM): a pool of 2
+    threads over the sample chunks, 1.170 on a `full` `train()`, better
+    in 0 of 20 pairs; a reused unfold workspace, which cut the minor page
+    faults of a `full` `train()` from 7,612 to 194, 0.976 (13 of 20);
+    batch-innermost inside conv2d only, with a copy to and from NCHW,
+    0.950-0.965 on a batch-16 `predict_batch`; batch-innermost up to
+    side 16, 1.023 on a `full` `train()` against up to side 8.
     The stride-1 backward takes both gradients unconditionally: every
     stride-1 conv in the model has x and w tracked, and `_accumulate`
     drops a gradient nothing tracks. The strided one checks each, since
@@ -566,13 +648,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise ConfigurationError(f"conv2d stride={stride} on a {h}x{wid} input")
     pad = k // 2
     ho, wo = (h - 1) // stride + 1, (wid - 1) // stride + 1
-    hwo = ho * wo
-    x_chunks = list(_sample_chunks(bsz, cin * k * k * hwo * 8))
-    wm = w.data.reshape(cout, cin * k * k)
-    out = np.empty((cout, bsz * hwo), dtype=np.float64)
+    side = max(ho, wo)
+    bi = side <= _BATCH_INNER_SIDE and bsz > side
+    x_chunks = list(_sample_chunks(bsz, cin * k * k * ho * wo * 8))
+    out = None
     for lo, hi in x_chunks:
-        np.matmul(wm, _im2col(x.data[lo:hi], k, stride), out=out[:, lo * hwo:hi * hwo])
-    out += b.data[:, None]
+        cols = _im2col(x.data[lo:hi], k, stride, bi)
+        if out is None:  # made once the unfold has freed its padded copy of x
+            out = np.empty((cout,) + _order(bsz, ho, wo, bi), dtype=np.float64)
+        _gemm_into(w.data.reshape(cout, -1), cols, out, lo, hi, bi)
+        del cols
+    out += b.data[:, None, None, None]
 
     def grad_fn(g):
         if b.requires_grad:
@@ -582,36 +668,37 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         gw = None
         if stride > 1:
             if x.requires_grad:
-                gxt = np.zeros((cin, bsz, h + 2 * pad, wid + 2 * pad), dtype=np.float64)
+                gxt = _hwb(np.zeros((cin,) + _order(bsz, h + 2 * pad, wid + 2 * pad, bi),
+                                    dtype=np.float64), bi)
             for lo, hi in x_chunks:
-                g_cm = g[lo:hi].transpose(1, 0, 2, 3).reshape(cout, (hi - lo) * hwo)
+                g_cm = _im2col(g[lo:hi], 1, 1, bi)
                 if w.requires_grad:
-                    part = g_cm @ _im2col(x.data[lo:hi], k, stride).T
+                    part = g_cm @ _im2col(x.data[lo:hi], k, stride, bi).T
                     gw = part if gw is None else gw + part
                 if x.requires_grad:
-                    _col2im(wm.T @ g_cm, gxt[:, lo:hi], k, stride, ho, wo)
+                    _col2im(w.data.reshape(cout, -1).T @ g_cm, gxt[..., lo:hi], k, stride, ho, wo,
+                            bi)
             if x.requires_grad:
-                _accumulate(x, gxt[:, :, pad:pad + h, pad:pad + wid].transpose(1, 0, 2, 3))
+                _accumulate(x, gxt[:, pad:pad + h, pad:pad + wid].transpose(3, 0, 1, 2))
             if w.requires_grad:
                 _accumulate(w, gw.reshape(w.data.shape))
             return
-        hw = h * wid
-        wf = None
-        gx_cm = np.empty((cin, bsz * hw), dtype=np.float64)
-        for lo, hi in _sample_chunks(bsz, cout * k * k * hw * 8):
-            gcols = _im2col(g[lo:hi], k, 1)
-            part = x.data[lo:hi].transpose(1, 0, 2, 3).reshape(cin, (hi - lo) * hw) @ gcols.T
+        gx = np.empty((cin,) + _order(bsz, h, wid, bi), dtype=np.float64)
+        for lo, hi in _sample_chunks(bsz, cout * k * k * h * wid * 8):
+            gcols = _im2col(g[lo:hi], k, 1, bi)
+            # per chunk: an unsplit backward never holds it with the weight gradient
+            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+            _gemm_into(wf, gcols, gx, lo, hi, bi)
+            del wf
+            part = _im2col(x.data[lo:hi], 1, 1, bi) @ gcols.T
             gw = part if gw is None else gw + part
-            del part
-            if wf is None:  # made once x's channel-major copy is gone
-                wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-            np.matmul(wf, gcols, out=gx_cm[:, lo * hw:hi * hw])
-            del gcols  # freed before the next chunk's unfold
-        del wf
-        _accumulate(x, gx_cm.reshape(cin, bsz, h, wid).transpose(1, 0, 2, 3))
+            del part, gcols  # freed before the next chunk's unfold
+        _accumulate(x, _hwb(gx, bi).transpose(3, 0, 1, 2))
         _accumulate(w, gw.reshape(cin, cout, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
-    out = np.ascontiguousarray(out.reshape(cout, bsz, ho, wo).transpose(1, 0, 2, 3))
+    out = _hwb(out, bi).transpose(3, 0, 1, 2)
+    if not bi:
+        out = np.ascontiguousarray(out)
     return _result(out, (x, w, b), grad_fn)
 
 
@@ -619,13 +706,39 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
 LN_EPS = 1e-6  # added to each sample's variance
 
 
+def _batch_inner(a: np.ndarray) -> bool:
+    """Whether [B,C,H,W] lies in memory as [C,H,W,B], with B above 1."""
+    return a.shape[0] > 1 and a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+def _sample_sums(a: np.ndarray) -> np.ndarray:
+    """Sum over (C,H,W) of each sample of [B,C,H,W]: one gemv with a ones
+    vector over a's buffer, C-ordered or batch-innermost (any other order
+    is copied to C order first)."""
+    n = a[0].size
+    if _batch_inner(a):
+        return np.ones(n) @ a.transpose(1, 2, 3, 0).reshape(n, -1)
+    return a.reshape(len(a), n) @ np.ones(n)
+
+
+def _channel_sums(a: np.ndarray) -> np.ndarray:
+    """Sum over (H,W) of each sample and channel of [B,C,H,W], as [B,C]:
+    the same gemv with a ones vector, one per channel when a is
+    batch-innermost."""
+    bsz, c, h, w = a.shape
+    if _batch_inner(a):
+        return (np.ones(h * w) @ a.transpose(1, 2, 3, 0).reshape(c, h * w, bsz)).T
+    return (a.reshape(bsz * c, h * w) @ np.ones(h * w)).reshape(bsz, c)
+
+
 def _ln_forward(x: np.ndarray, gamma: Tensor, beta: Tensor,
                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample layer norm of [B,C,H,W] over (C,H,W) plus the per-channel
     affine; returns (x_hat, inv_std, y).
 
-    x is centered into `out` (a new buffer when None; x itself to work in
-    place) and normalized there into x_hat; y is a new buffer.
+    x is centered into `out` (a new buffer in x's memory order when None;
+    x itself to work in place) and normalized there into x_hat; y is a new
+    buffer in x_hat's order.
     """
     if x.ndim != 4:
         raise ContractViolation(f"layer_norm input must be [B,C,H,W], got {x.shape}")
@@ -633,7 +746,7 @@ def _ln_forward(x: np.ndarray, gamma: Tensor, beta: Tensor,
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ContractViolation(f"layer_norm affine shapes {gamma.shape}/{beta.shape} for C={c}")
     n = x[0].size
-    xhat = np.subtract(x, x.mean(axis=(1, 2, 3), keepdims=True), out=out)
+    xhat = np.subtract(x, (_sample_sums(x) / n).reshape(bsz, 1, 1, 1), out=out)
     var = np.einsum("bchw,bchw->b", xhat, xhat) / n
     inv_std = (1.0 / np.sqrt(var + LN_EPS)).reshape(bsz, 1, 1, 1)
     xhat *= inv_std
@@ -654,7 +767,7 @@ def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gamma: Te
     given, write the input gradient into it (`dx` may be g itself)."""
     bsz, c = g.shape[:2]
     n = g[0].size
-    s_g = g.sum(axis=(2, 3))
+    s_g = _channel_sums(g)
     s_gx = np.einsum("bchw,bchw->bc", g, xhat)
     if gamma.requires_grad:
         _accumulate(gamma, s_gx.sum(axis=0))
@@ -672,8 +785,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     to its variance, then apply a per-channel affine. Mean 0 / variance 1
     holds before the affine.
 
-    The forward centers x into one owned buffer and normalizes it in
-    place into x_hat, which the backward keeps. The backward needs only
+    The forward centers x into one owned buffer, in x's memory order, and
+    normalizes it in place into x_hat, which the backward keeps. The
+    per-sample mean and the per-(sample, channel) gradient sums are gemv
+    products with a ones vector over the buffer as it lies, C-ordered or
+    batch-innermost (`_sample_sums`, `_channel_sums`); the two sums of
+    products stay einsums, which need no temporary. The backward needs only
     two sums per (sample, channel), s_g = sum_hw g and s_gx = sum_hw g*x_hat
     (Ba et al., 2016): they give both affine gradients and, through gamma,
     the mean and projection terms of dx. dx is built in place in one
@@ -753,8 +870,9 @@ def conv_block(x: Tensor, *blocks: tuple[Tensor, Tensor, Tensor, Tensor, int]) -
                 conv_grad(gm)
             del gm
             if links:
-                # masked into the recomputed output's buffer, which keeps
-                # the C order that `g * mask` gives
+                # masked into the recomputed output's buffer, whose memory
+                # order (C, or batch-innermost as the next conv's gradient
+                # then is too) is the one `g * mask` gives
                 gm = np.multiply(inp.grad, inp.data > 0, out=inp.data)
                 inp.grad = inp.data = None
 

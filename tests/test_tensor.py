@@ -158,16 +158,53 @@ K_STRIDE = [pytest.param(k, stride, id=f"{k // 2}-{stride}-{k}")
 @pytest.mark.parametrize("bsz", [1, 3])
 @pytest.mark.parametrize("k, stride", K_STRIDE)
 def test_conv2d_matches_loop_reference(bsz, k, stride):
+    """On a 5x6 map; on a 2x2 one, which a batch of 3 runs
+    batch-innermost; and on a 17x18 one, whose output side stays above
+    `_BATCH_INNER_SIDE` at either stride."""
     r = np.random.default_rng(100 * bsz + 10 * k + 2 * stride)
-    x = Tensor(r.standard_normal((bsz, 3, 5, 6)), requires_grad=True)
-    w = Tensor(r.standard_normal((4, 3, k, k)), requires_grad=True)
-    b = Tensor(r.standard_normal(4), requires_grad=True)
-    out = T.conv2d(x, w, b, stride=stride)
-    proj = r.standard_normal(out.shape)
-    (out * Tensor(proj)).sum().backward()
-    ref_out, ref_gx, ref_gw, ref_gb = _conv_reference(x.data, w.data, b.data, stride, proj)
-    for got, want in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw), (b.grad, ref_gb)):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for h, wid in ((5, 6), (2, 2), (17, 18)):
+        x = Tensor(r.standard_normal((bsz, 3, h, wid)), requires_grad=True)
+        w = Tensor(r.standard_normal((4, 3, k, k)), requires_grad=True)
+        b = Tensor(r.standard_normal(4), requires_grad=True)
+        out = T.conv2d(x, w, b, stride=stride)
+        proj = r.standard_normal(out.shape)
+        (out * Tensor(proj)).sum().backward()
+        ref_out, ref_gx, ref_gw, ref_gb = _conv_reference(x.data, w.data, b.data, stride, proj)
+        for got, want in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw),
+                          (b.grad, ref_gb)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _as_batch_inner(a):
+    """The values of [B,C,H,W] a in a [C,H,W,B] buffer, as a [B,C,H,W] view."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+@pytest.mark.parametrize("k, stride", K_STRIDE)
+def test_conv2d_order_comes_from_its_output_not_its_input(k, stride):
+    """A conv whose output side is at most `_BATCH_INNER_SIDE` and below
+    its batch returns an NCHW view of a [C,H,W,B] buffer; batch 1, a
+    batch no larger than the side and larger maps return C order. Either
+    way the same values given C-ordered or as a batch-innermost view give
+    bit-identical outputs and gradients."""
+    r = np.random.default_rng(2000 + 10 * k + 2 * stride)
+    for bsz, side in ((5, 4), (3, 6), (9, 20), (1, 6)):
+        data = (r.standard_normal((bsz, 3, side, side)), r.standard_normal((4, 3, k, k)),
+                r.standard_normal(4))
+        proj = r.standard_normal((bsz, 4, (side - 1) // stride + 1, (side - 1) // stride + 1))
+        runs = []
+        for x_data in (data[0], _as_batch_inner(data[0])):
+            x, w, b = (Tensor(a, requires_grad=True) for a in (x_data, *data[1:]))
+            out = T.conv2d(x, w, b, stride=stride)
+            (out * Tensor(proj)).sum().backward()
+            runs.append((out.data, x.grad, w.grad, b.grad))
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+        out = runs[0][0]
+        if out.shape[-1] <= T._BATCH_INNER_SIDE and bsz > out.shape[-1]:
+            assert out.transpose(1, 2, 3, 0).flags.c_contiguous and not out.flags.c_contiguous
+        else:
+            assert out.flags.c_contiguous, (bsz, side)
 
 
 @pytest.mark.parametrize("k, stride", K_STRIDE)
@@ -256,12 +293,19 @@ def test_grad_layer_norm():
 
 
 def test_layer_norm_matches_textbook_reference():
+    """With the input and its gradient C-ordered and batch-innermost, the
+    two orders whose sums the helpers take as gemv products."""
     r = np.random.default_rng(12)
-    x = Tensor(r.standard_normal((3, 4, 5, 6)) * 3.0 + 1.5, requires_grad=True)
-    gamma = Tensor(r.random(4) + 0.5, requires_grad=True)
-    beta = Tensor(r.standard_normal(4), requires_grad=True)
+    x_data = r.standard_normal((3, 4, 5, 6)) * 3.0 + 1.5
+    gamma_data, beta_data = r.random(4) + 0.5, r.standard_normal(4)
+    g = r.standard_normal(x_data.shape)
+    for order in (np.ascontiguousarray, _as_batch_inner):
+        _check_layer_norm(order(x_data), gamma_data, beta_data, order(g))
+
+
+def _check_layer_norm(x_data, gamma_data, beta_data, g):
+    x, gamma, beta = (Tensor(a, requires_grad=True) for a in (x_data, gamma_data, beta_data))
     out = T.layer_norm(x, gamma, beta)
-    g = r.standard_normal(out.shape)
     (out * Tensor(g)).sum().backward()
     # per sample: y = gamma * (x - m) / s + beta over its n = C*H*W values
     eps, n = 1e-6, x.data[0].size
@@ -282,9 +326,9 @@ def test_layer_norm_matches_textbook_reference():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def _block_inputs(bsz, track_x, seed):
+def _block_inputs(bsz, track_x, seed, side):
     r = np.random.default_rng(seed)
-    return (Tensor(r.standard_normal((bsz, 3, 6, 6)), requires_grad=track_x),
+    return (Tensor(r.standard_normal((bsz, 3, side, side)), requires_grad=track_x),
             Tensor(r.standard_normal((4, 3, 3, 3)), requires_grad=True),
             Tensor(r.standard_normal(4), requires_grad=True),
             Tensor(r.random(4) + 0.5, requires_grad=True),
@@ -296,20 +340,23 @@ def _block_inputs(bsz, track_x, seed):
 @pytest.mark.parametrize("track_x", [True, False])
 def test_conv_block_has_the_bits_of_three_ops(bsz, stride, track_x):
     """The fused block matches conv2d -> layer_norm -> relu bit for bit,
-    forward and every gradient, also with x untracked as in the stem."""
+    forward and every gradient, also with x untracked as in the stem; on
+    a 2x2 map, whose output a batch of 3 (and at stride 2 one of 2) runs
+    batch-innermost, and on 6x6 and 32x32 ones."""
     seed = 10 * bsz + stride
-    fused = _block_inputs(bsz, track_x, seed)
-    x, w, b, gamma, beta = three = _block_inputs(bsz, track_x, seed)
-    want = T.layer_norm(T.conv2d(x, w, b, stride=stride), gamma, beta).relu()
-    got = T.conv_block(fused[0], (*fused[1:], stride))
-    proj = np.random.default_rng(seed).standard_normal(got.shape)
-    for out in (want, got):
-        (out * Tensor(proj)).sum().backward()
-    np.testing.assert_array_equal(got.data, want.data)
-    assert (fused[0].grad is None) == (three[0].grad is None) == (not track_x)
-    for f, t in zip(fused, three):
-        if t.grad is not None:
-            np.testing.assert_array_equal(f.grad, t.grad)
+    for side in (2, 6, 32):
+        fused = _block_inputs(bsz, track_x, seed, side)
+        x, w, b, gamma, beta = three = _block_inputs(bsz, track_x, seed, side)
+        want = T.layer_norm(T.conv2d(x, w, b, stride=stride), gamma, beta).relu()
+        got = T.conv_block(fused[0], (*fused[1:], stride))
+        proj = np.random.default_rng(seed).standard_normal(got.shape)
+        for out in (want, got):
+            (out * Tensor(proj)).sum().backward()
+        np.testing.assert_array_equal(got.data, want.data)
+        assert (fused[0].grad is None) == (three[0].grad is None) == (not track_x)
+        for f, t in zip(fused, three):
+            if t.grad is not None:
+                np.testing.assert_array_equal(f.grad, t.grad)
 
 
 def _chain_blocks(strides, seed):
@@ -329,24 +376,27 @@ def _chain_blocks(strides, seed):
 def test_conv_chain_has_the_bits_of_its_blocks_one_at_a_time(strides, track_x):
     """A two-block chain, which recomputes its inner output in the
     backward, matches the same blocks run as two `conv_block` nodes bit
-    for bit: the forward and every gradient."""
+    for bit: the forward and every gradient. On a 4x4 input both blocks
+    run batch-innermost, on an 8x8 one only the second one at strides
+    (2, 2), and on a 32x32 one neither."""
     seed = 7 * strides[1] + track_x
-    x_data = np.random.default_rng(seed).standard_normal((3, 3, 8, 8))
-    chain_x, apart_x = (Tensor(x_data, requires_grad=track_x) for _ in range(2))
-    chain_blocks, apart_blocks = _chain_blocks(strides, seed), _chain_blocks(strides, seed)
-    got = T.conv_block(chain_x, *chain_blocks)
-    want = T.conv_block(T.conv_block(apart_x, apart_blocks[0]), apart_blocks[1])
-    assert tape(got) == [got]
-    proj = np.random.default_rng(seed).standard_normal(got.shape)
-    for out in (want, got):
-        (out * Tensor(proj)).sum().backward()
-    np.testing.assert_array_equal(got.data, want.data)
-    assert (chain_x.grad is None) == (apart_x.grad is None) == (not track_x)
-    if track_x:
-        np.testing.assert_array_equal(chain_x.grad, apart_x.grad)
-    for chained, apart in zip(chain_blocks, apart_blocks):
-        for c, a in zip(chained[:4], apart[:4]):
-            np.testing.assert_array_equal(c.grad, a.grad)
+    for side in (4, 8, 32):
+        x_data = np.random.default_rng(seed).standard_normal((3, 3, side, side))
+        chain_x, apart_x = (Tensor(x_data, requires_grad=track_x) for _ in range(2))
+        chain_blocks, apart_blocks = _chain_blocks(strides, seed), _chain_blocks(strides, seed)
+        got = T.conv_block(chain_x, *chain_blocks)
+        want = T.conv_block(T.conv_block(apart_x, apart_blocks[0]), apart_blocks[1])
+        assert tape(got) == [got]
+        proj = np.random.default_rng(seed).standard_normal(got.shape)
+        for out in (want, got):
+            (out * Tensor(proj)).sum().backward()
+        np.testing.assert_array_equal(got.data, want.data)
+        assert (chain_x.grad is None) == (apart_x.grad is None) == (not track_x)
+        if track_x:
+            np.testing.assert_array_equal(chain_x.grad, apart_x.grad)
+        for chained, apart in zip(chain_blocks, apart_blocks):
+            for c, a in zip(chained[:4], apart[:4]):
+                np.testing.assert_array_equal(c.grad, a.grad)
 
 
 def test_conv_block_pads_by_half_the_kernel():
