@@ -180,17 +180,28 @@ def load_ppm(path: str | Path, size: int | None = None) -> np.ndarray:
 
 
 def save_ppm(path: str | Path, img: np.ndarray) -> None:
-    """Write floats [3,H,W] in [0,1] as binary P6."""
+    """Write floats [3,H,W] in [0,1] as binary P6: each value times 255,
+    rounded to the nearest integer and clipped to [0, 255]. A non-finite
+    value raises ContractViolation naming the path, since no byte stands
+    for it. `img` is only read."""
     if img.ndim != 3 or img.shape[0] != 3:
         raise ContractViolation(f"save_ppm expects [3,H,W], got {img.shape}")
+    if not np.isfinite(img).all():
+        raise ContractViolation(f"{path}: image holds a non-finite value")
     h, w = img.shape[1:]
-    bytes_hw3 = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8).transpose(1, 2, 0)
+    scaled = img * 255.0
+    np.rint(scaled, out=scaled)
+    np.clip(scaled, 0, 255, out=scaled)
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(bytes_hw3.tobytes())
+        f.write(scaled.astype(np.uint8).transpose(1, 2, 0).tobytes())
 
 
 # ------------------------------------------------------- synthetic corpus
+# Images per GEMM in `synth_generate`: at 128 px a chunk's product is 3 MiB.
+_SYNTH_CHUNK = 8
+
+
 def _label_palette(n_labels: int) -> np.ndarray:
     colors = [colorsys.hsv_to_rgb(i / n_labels, 0.9, 1.0) for i in range(n_labels)]
     return np.array(colors, dtype=np.float64)
@@ -200,7 +211,17 @@ def synth_generate(seed: int, n_samples: int, n_labels: int, input_size: int,
                    out_dir: str | Path) -> Manifest:
     """Write a corpus whose color and stripe frequency encode the target
     distribution: each label contributes its own hue and spatial frequency
-    weighted by its probability mass. Byte-identical for a given seed."""
+    weighted by its probability mass. Byte-identical for a given seed.
+
+    Label c's stripes at pixel p are 0.55 + 0.45 sin(a_c(p) + phi_c), with
+    a_c = 2 pi (c + 1) coord_c and a phase phi_c drawn per image. Since
+    sin(a + phi) = sin a cos phi + cos a sin phi, the sines and cosines of
+    every a_c are taken once, as a [2L, side*side] basis, and each chunk
+    of `_SYNTH_CHUNK` images is one GEMM of the images' coefficients
+    0.45 d_c palette_c (cos phi_c, sin phi_c) with that basis, plus the
+    constant 0.55 sum_c d_c palette_c. Its rows are (image, channel), so
+    each image is a C-ordered [3,H,W] block of the product. Every
+    temporary is sized by the chunk, not by `n_samples`."""
     if n_samples < 1 or n_labels < 2 or input_size < 1:
         raise ConfigurationError(f"need n_samples >= 1, n_labels >= 2 and input_size >= 1, "
                                  f"got {n_samples}/{n_labels}/{input_size}")
@@ -212,20 +233,34 @@ def synth_generate(seed: int, n_samples: int, n_labels: int, input_size: int,
     else:
         names = [f"emotion{i}" for i in range(n_labels)]
     palette = _label_palette(n_labels)
-    yy, xx = np.mgrid[0:input_size, 0:input_size].astype(np.float64) / input_size
+    side = input_size
+    yy, xx = np.mgrid[0:side, 0:side].astype(np.float64) / side
+    basis = np.empty((2, n_labels, side * side))
+    for c in range(n_labels):
+        angle = math.pi * c / n_labels
+        coord = xx * math.cos(angle) + yy * math.sin(angle)
+        a = (2.0 * math.pi * (c + 1) * coord).reshape(-1)
+        np.sin(a, out=basis[0, c])
+        np.cos(a, out=basis[1, c])
+    basis = basis.reshape(2 * n_labels, side * side)
     records = []
-    for idx in range(n_samples):
-        dist = rng.dirichlet(np.full(n_labels, 0.5))
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=n_labels)
-        img = np.zeros((3, input_size, input_size))
-        for c in range(n_labels):
-            angle = math.pi * c / n_labels
-            coord = xx * math.cos(angle) + yy * math.sin(angle)
-            stripes = 0.55 + 0.45 * np.sin(2.0 * math.pi * (c + 1) * coord + phases[c])
-            img += dist[c] * palette[c][:, None, None] * stripes
-        name = f"sample_{idx:04d}.ppm"
-        save_ppm(out_dir / name, np.clip(img, 0.0, 1.0))
-        records.append(DatasetRecord(image_path=name, distribution=dist))
+    for start in range(0, n_samples, _SYNTH_CHUNK):
+        count = min(_SYNTH_CHUNK, n_samples - start)
+        dists = np.empty((count, n_labels))
+        phases = np.empty((count, n_labels))
+        for i in range(count):
+            dists[i] = rng.dirichlet(np.full(n_labels, 0.5))
+            phases[i] = rng.uniform(0.0, 2.0 * math.pi, size=n_labels)
+        mass = dists[:, None, :] * palette.T  # [count, 3, L]
+        coef = 0.45 * np.concatenate([mass * np.cos(phases)[:, None, :],
+                                      mass * np.sin(phases)[:, None, :]], axis=2)
+        imgs = (coef.reshape(3 * count, 2 * n_labels) @ basis).reshape(count, 3, side, side)
+        imgs += 0.55 * mass.sum(axis=2)[:, :, None, None]
+        for i in range(count):
+            name = f"sample_{start + i:04d}.ppm"
+            save_ppm(out_dir / name, imgs[i])
+            records.append(DatasetRecord(image_path=name, distribution=dists[i]))
+        del imgs  # so the next chunk's product is not made beside this one
     manifest = Manifest(label_names=names, records=records)
     save_manifest(manifest, out_dir / "manifest.txt")
     return manifest

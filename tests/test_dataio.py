@@ -1,4 +1,8 @@
 """Manifests, PPM round trips, synthetic corpus, adjacency, splits."""
+import colorsys
+import hashlib
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +16,11 @@ from styledl.dataio import (DatasetRecord, Manifest, cooccurrence_adjacency,
                             save_manifest, save_ppm, split_dataset, synth_generate)
 from styledl.errors import ConfigurationError, ContractViolation, FormatError, ValidationError
 from styledl.tensor import resize_nearest
+
+
+# SHA-256 of synth_generate(seed=0, n_samples=4, n_labels=8, input_size=16):
+# each file's name and bytes, in name order (manifest.txt, then the images)
+PINNED_CORPUS_SHA256 = "34fb7063f2dfb18aa4dbd022f4510414f90c38f99cf4954c44d39229f1762d09"
 
 
 def _write(tmp_path, text, name="m.txt"):
@@ -100,6 +109,27 @@ def test_ppm_load_at_size_matches_resize(tmp_path, h, w):
         np.testing.assert_array_equal(load_ppm(p, size=size), resize_nearest(raw, size, size))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_ppm_rejects_non_finite(tmp_path, bad):
+    img = np.full((3, 2, 2), 0.5)
+    img[1, 0, 1] = bad
+    p = tmp_path / "nan.ppm"
+    with pytest.raises(ContractViolation, match="nan.ppm"):
+        save_ppm(p, img)
+    assert not p.exists()
+
+
+def test_save_ppm_leaves_its_input_unchanged(tmp_path):
+    img = np.random.default_rng(3).random((3, 4, 5)) * 1.5 - 0.25
+    kept = img.copy()
+    hwc = np.ascontiguousarray(img.transpose(1, 2, 0))
+    save_ppm(tmp_path / "a.ppm", img)
+    save_ppm(tmp_path / "b.ppm", hwc.transpose(2, 0, 1))
+    np.testing.assert_array_equal(img, kept)
+    np.testing.assert_array_equal(hwc.transpose(2, 0, 1), kept)
+    assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
+
+
 def test_ppm_comment_tolerant_header(tmp_path):
     p = tmp_path / "c.ppm"
     payload = bytes(range(12))
@@ -169,6 +199,70 @@ def test_synth_generate_deterministic(tmp_path):
     for rec in m1.records:
         assert (tmp_path / "a" / rec.image_path).read_bytes() == \
                (tmp_path / "b" / rec.image_path).read_bytes()
+
+
+def _synth_reference(seed, n_samples, n_labels, size):
+    """The generator's first form, one sin pass per label and image, with
+    the first `save_ppm`'s byte conversion: {file name: bytes} and the
+    distributions."""
+    rng = np.random.default_rng(seed)
+    palette = np.array([colorsys.hsv_to_rgb(i / n_labels, 0.9, 1.0) for i in range(n_labels)])
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / size
+    files, dists = {}, []
+    for idx in range(n_samples):
+        dist = rng.dirichlet(np.full(n_labels, 0.5))
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=n_labels)
+        img = np.zeros((3, size, size))
+        for c in range(n_labels):
+            angle = math.pi * c / n_labels
+            coord = xx * math.cos(angle) + yy * math.sin(angle)
+            stripes = 0.55 + 0.45 * np.sin(2.0 * math.pi * (c + 1) * coord + phases[c])
+            img += dist[c] * palette[c][:, None, None] * stripes
+        img = np.clip(img, 0.0, 1.0)
+        payload = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8).transpose(1, 2, 0)
+        files[f"sample_{idx:04d}.ppm"] = f"P6\n{size} {size}\n255\n".encode("ascii") + \
+            payload.tobytes()
+        dists.append(dist)
+    return files, np.stack(dists)
+
+
+@pytest.mark.parametrize("seed, n_samples, n_labels, size",
+                         [(0, 4, 8, 16), (3, 9, 2, 1), (7, 17, 5, 33), (2331, 8, 12, 7),
+                          (4, 3, 3, 64)])
+def test_synth_generate_matches_per_label_loop(tmp_path, seed, n_samples, n_labels, size):
+    # the basis-and-GEMM generator writes the per-label loop's bytes, across
+    # chunk boundaries (9, 17 images), odd sides and label counts
+    m = synth_generate(seed, n_samples, n_labels, size, tmp_path)
+    files, dists = _synth_reference(seed, n_samples, n_labels, size)
+    np.testing.assert_array_equal(m.distributions(), dists)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "manifest.txt"])
+    for name, data in files.items():
+        assert (tmp_path / name).read_bytes() == data, name
+
+
+def test_synth_corpus_bytes_are_pinned(tmp_path):
+    # every recorded loss, digest and checkpoint SHA-256 assumes this corpus
+    synth_generate(seed=0, n_samples=4, n_labels=8, input_size=16, out_dir=tmp_path)
+    h = hashlib.sha256()
+    for p in sorted(tmp_path.iterdir()):
+        h.update(p.name.encode("utf-8"))
+        h.update(p.read_bytes())
+    assert h.hexdigest() == PINNED_CORPUS_SHA256
+
+
+def test_synth_generate_temporaries_do_not_grow_with_n_samples(tmp_path):
+    # images are made a chunk at a time: 64 more images add only their
+    # records, well under half of one chunk's [24, side*side] product
+    synth_generate(0, 2, 8, 8, tmp_path / "warm")
+    peaks = []
+    for n in (16, 80):
+        tracemalloc.start()
+        try:
+            synth_generate(0, n, 8, 32, tmp_path / str(n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 32 * 32 * 24 * 8 // 2
 
 
 def test_synth_generate_loadable(tmp_path):

@@ -1,4 +1,4 @@
-"""Smoke runs of the two sanity scripts in `scripts/` at a tiny size."""
+"""Smoke runs of the scripts in `scripts/` at a tiny size."""
 import importlib.util
 import json
 import math
@@ -47,3 +47,11 @@ def test_run_ablation(monkeypatch, capsys, tmp_path):
         assert all(math.isfinite(v) for v in run["metrics"].values())
         assert math.isfinite(run["train_pred_loss"])
 
+
+def test_digest_repeats(monkeypatch, capsys, tmp_path):
+    rows = []
+    for run in ("a", "b"):
+        _run(monkeypatch, "digest", ["--pairs", "full:32", "--workdir", str(tmp_path / run)])
+        rows.append(re.findall(r"^full +32 +([0-9a-f]{12}) +([0-9a-f]{12}) +([0-9a-f]{12})$",
+                               capsys.readouterr().out, flags=re.MULTILINE))
+    assert len(rows[0]) == 1 and rows[0] == rows[1]
