@@ -64,7 +64,7 @@ class Backbone:
         """Spatial side of tap k (0-based stage index)."""
         return self.cfg.input_size // (2 ** (k + 1))
 
-    def params(self, prefix: str = "backbone") -> dict[str, Tensor]:
+    def params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for i, stage in enumerate(self.stages):
             out.update(stage.params(f"{prefix}/stage{i}"))

@@ -25,7 +25,7 @@ def knn_features(images: np.ndarray) -> np.ndarray:
 
 
 def aaknn_predict(train_images: np.ndarray, train_targets: np.ndarray,
-                  query_images: np.ndarray, k: int = 5) -> np.ndarray:
+                  query_images: np.ndarray, k: int) -> np.ndarray:
     """Predicted distributions [Q, C] as neighbour averages."""
     if k < 1:
         raise ContractViolation(f"k must be positive, got {k}")

@@ -32,7 +32,7 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_build_adj(args) -> int:
     manifest = dataio.load_manifest(args.manifest)
-    adj = dataio.cooccurrence_adjacency(manifest, tau=args.tau, binarize_t=args.threshold)
+    adj = dataio.cooccurrence_adjacency(manifest)
     if args.out:
         np.savetxt(args.out, adj)
         print(f"wrote {adj.shape[0]}x{adj.shape[1]} adjacency to {args.out}")
@@ -111,11 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_synth)
 
     p = sub.add_parser("build-adj", help="co-occurrence adjacency from a manifest",
-                       description="Training always builds this static label graph with the "
-                                   "defaults; other values give a graph no training uses.")
+                       description="The static label graph that training builds: presence "
+                                   f"cut {dataio.PRESENCE_T}, edge cut {dataio.EDGE_T}.")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--tau", type=float, default=0.1, help="presence cut in [0, 1] (%(default)s)")
-    p.add_argument("--threshold", type=float, default=0.3, help="edge cut in [0, 1] (%(default)s)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_build_adj)
 

@@ -21,6 +21,9 @@ from .tensor import resize_nearest
 EMOTION_NAMES_8 = ("amusement", "anger", "awe", "contentment",
                    "disgust", "excitement", "fear", "sadness")
 SUM_TOLERANCE = (0.99, 1.01)
+# `cooccurrence_adjacency`'s presence and edge cuts, as in ML-GCN (Chen et al., CVPR 2019)
+PRESENCE_T = 0.1
+EDGE_T = 0.3
 
 
 @dataclass
@@ -108,7 +111,17 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(label_names=label_names, records=records)
 
 
+def reject_commas(values: list[str], what: str) -> None:
+    """Raise ContractViolation naming a value that holds a comma, which the
+    reader of a comma-joined list of them would split."""
+    for value in values:
+        if "," in value:
+            raise ContractViolation(f"{what} {value!r} holds a comma, the list separator")
+
+
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
+    reject_commas(manifest.label_names, "label name")
+    reject_commas([r.image_path for r in manifest.records], "image path")
     path = Path(path)
     lines = ["#labels: " + ",".join(manifest.label_names)]
     for rec in manifest.records:
@@ -163,19 +176,19 @@ def _ppm_pixels(path: str | Path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
 
 
-def _ppm_chw(path: str | Path, size: int | None) -> np.ndarray:
+def _ppm_chw(path: str | Path, size: int) -> np.ndarray:
     """The bytes of a P6 file as uint8 [3,H,W], nearest-resampled in bytes
     to size x size when it has another size."""
     chw = _ppm_pixels(path).transpose(2, 0, 1)
-    if size is not None and chw.shape[1:] != (size, size):
+    if chw.shape[1:] != (size, size):
         chw = resize_nearest(chw, size, size)
     return chw
 
 
-def load_ppm(path: str | Path, size: int | None = None) -> np.ndarray:
-    """Read a binary P6 image into floats [3,H,W] in [0,1], optionally
-    nearest-resized to size x size; an image already that size is not
-    resampled."""
+def load_ppm(path: str | Path, size: int) -> np.ndarray:
+    """Read a binary P6 image into floats [3,size,size] in [0,1],
+    nearest-resized where the file has another size; an image already that
+    size is not resampled."""
     return np.ascontiguousarray(_ppm_chw(path, size)) / 255.0
 
 
@@ -288,27 +301,23 @@ def load_images(manifest: Manifest, root: str | Path, size: int) -> np.ndarray:
 
 
 # ------------------------------------------------- adjacency and splits
-def cooccurrence_adjacency(manifest: Manifest, tau: float = 0.1,
-                           binarize_t: float = 0.3) -> np.ndarray:
+def cooccurrence_adjacency(manifest: Manifest) -> np.ndarray:
     """Row-stochastic static adjacency from thresholded label presence.
 
-    Label i counts as present when p_i >= tau. Conditional co-presence
-    rates are binarized at binarize_t, the diagonal is switched on, and
-    rows are normalized to sum to 1. Both thresholds must lie in [0, 1].
+    Label i counts as present when p_i >= PRESENCE_T. Conditional
+    co-presence rates are binarized at EDGE_T, the diagonal is switched
+    on, and rows are normalized to sum to 1.
     """
-    for name, value in (("tau", tau), ("binarize_t", binarize_t)):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigurationError(f"{name} {value} must be in [0, 1]")
     c = manifest.n_labels
     if not manifest.records:
         warnings.warn("empty manifest: static adjacency falls back to identity")
         return np.eye(c)
-    present = manifest.distributions() >= tau
+    present = manifest.distributions() >= PRESENCE_T
     counts = present.sum(axis=0).astype(np.float64)
     co = (present.T @ present).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(counts[:, None] > 0, co / counts[:, None], 0.0)
-    adj = (cond >= binarize_t).astype(np.float64)
+    adj = (cond >= EDGE_T).astype(np.float64)
     np.fill_diagonal(adj, 1.0)
     return adj / adj.sum(axis=1, keepdims=True)
 

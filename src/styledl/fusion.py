@@ -23,7 +23,7 @@ class FusionHead:
     """
 
     def __init__(self, rng: np.random.Generator, n_labels: int, content_channels: int,
-                 deep_channels: int, style_channels: int | None = None):
+                 deep_channels: int, style_channels: int | None):
         sc_in = content_channels + (style_channels or 0)
         s4_in = deep_channels + (style_channels or 0)
         self.conv_sc = Conv1x1(rng, sc_in, n_labels)
@@ -44,7 +44,7 @@ class FusionHead:
         tiled = T.concat([aligned] * (partner.shape[0] // style.shape[0]), axis=0)
         return conv(T.concat([tiled, partner], axis=1))
 
-    def params(self, prefix: str = "fusion") -> dict[str, Tensor]:
+    def params(self, prefix: str) -> dict[str, Tensor]:
         out = self.conv_sc.params(f"{prefix}/conv_sc")
         out.update(self.conv_s4.params(f"{prefix}/conv_s4"))
         return out

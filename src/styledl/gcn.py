@@ -37,7 +37,7 @@ class StylisticGcn:
     """Parameter container for the two-pass label graph."""
 
     def __init__(self, rng: np.random.Generator, n_labels: int, in_width: int,
-                 hidden: int = 128, dynamic: bool = True):
+                 hidden: int = 128, *, dynamic: bool):
         self.dynamic = dynamic
         self.w_s = T.he_normal(rng, (in_width, hidden), fan_in=in_width)
         if dynamic:
@@ -51,7 +51,7 @@ class StylisticGcn:
         a_d = dynamic_adjacency(enhanced, self.w_a)
         return graph_conv(a_d, enhanced, self.w_d)
 
-    def params(self, prefix: str = "gcn") -> dict[str, Tensor]:
+    def params(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}/w_s": self.w_s}
         if self.dynamic:
             out[f"{prefix}/w_d"] = self.w_d

@@ -25,7 +25,7 @@ from .tensor import Tensor
 class HighOrderAttention:
     """Holds r inner and r outer 1x1 convs per order r = 1..R (TrainConfig.R >= 1)."""
 
-    def __init__(self, rng: np.random.Generator, channels: int, orders: int = 2):
+    def __init__(self, rng: np.random.Generator, channels: int, orders: int):
         self.orders = orders
         self.inner: list[list[Conv1x1]] = []
         self.outer: list[list[Conv1x1]] = []
@@ -47,7 +47,7 @@ class HighOrderAttention:
             atts.append(att)
         return atts
 
-    def params(self, prefix: str = "hoa") -> dict[str, Tensor]:
+    def params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for r_idx in range(self.orders):
             for s_idx, conv in enumerate(self.inner[r_idx]):

@@ -30,7 +30,7 @@ class ConvBlock:
     either stride; its backward unfolds again.
     """
 
-    def __init__(self, rng: np.random.Generator, cin: int, cout: int, stride: int = 1):
+    def __init__(self, rng: np.random.Generator, cin: int, cout: int, stride: int):
         self.stride = stride
         self.w = T.he_normal(rng, (cout, cin, 3, 3), fan_in=cin * 9)
         self.b = T.zeros_param(cout)

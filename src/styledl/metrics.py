@@ -45,16 +45,15 @@ class MetricReport:
     mean: dict[str, float]
     n: int
 
-    def to_json(self, name: str | None = None) -> str:
+    def to_json(self, name: str) -> str:
         doc = {
             "n": self.n,
             "metrics": {
                 m: {"mean": self.mean[m], "per_sample": self.per_sample[m].tolist()}
                 for m in METRIC_NAMES
             },
+            "name": name,
         }
-        if name is not None:
-            doc["name"] = name
         return json.dumps(doc, indent=2)
 
     def to_text(self) -> str:
@@ -67,7 +66,7 @@ class MetricReport:
 def load_report(path: str | Path) -> tuple[str, dict[str, float]]:
     """Read a `MetricReport.to_json` file back as (name, metric means).
 
-    The name falls back to the file stem when the report carries none.
+    The name falls back to the file stem for an older report that carries none.
     """
     path = Path(path)
     try:
@@ -129,7 +128,7 @@ def evaluate_metrics(targets, preds, normalize: bool = True) -> MetricReport:
     return MetricReport(per_sample=per_sample, mean=mean, n=n)
 
 
-def competition_rank(values, lower_is_better: bool = True) -> np.ndarray:
+def competition_rank(values, lower_is_better: bool) -> np.ndarray:
     """Ranks where ties share the smallest position and the next is
     skipped (1, 2, 2, 4). NaN entries get NaN ranks with a warning."""
     v = np.asarray(values, dtype=np.float64)
@@ -166,26 +165,25 @@ def average_rank(scores, lower_flags) -> tuple[np.ndarray, np.ndarray]:
     return ranks, averages
 
 
-def rank_table(entries: list[tuple[str, dict[str, float]]],
-               metric_names: tuple[str, ...] = METRIC_NAMES) -> str:
+def rank_table(entries: list[tuple[str, dict[str, float]]]) -> str:
     """Render a comparison table with parenthesized competition ranks.
 
     `entries` pairs a method name with its metric means; every entry must
-    cover the same metric set.
+    cover `METRIC_NAMES`.
     """
     if not entries:
         raise ValidationError("rank_table needs at least one report")
     for name, means in entries:
-        missing = [m for m in metric_names if m not in means]
+        missing = [m for m in METRIC_NAMES if m not in means]
         if missing:
             raise ValidationError(f"report '{name}' lacks metrics {missing}")
     methods = [name for name, _ in entries]
-    scores = np.array([[means[m] for m in metric_names] for _, means in entries])
-    lower = [LOWER_IS_BETTER.get(m, True) for m in metric_names]
+    scores = np.array([[means[m] for m in METRIC_NAMES] for _, means in entries])
+    lower = [LOWER_IS_BETTER[m] for m in METRIC_NAMES]
     ranks, averages = average_rank(scores, lower)
     avg_rank = competition_rank(averages, lower_is_better=True)
     width = max(len(m) for m in methods) + 2
-    header = "method".ljust(width) + "  ".join(f"{m:>12}" for m in metric_names)
+    header = "method".ljust(width) + "  ".join(f"{m:>12}" for m in METRIC_NAMES)
     header += f"  {'avg rank':>12}"
     lines = [header]
 
@@ -195,7 +193,7 @@ def rank_table(entries: list[tuple[str, dict[str, float]]],
         return f"{score:.2f}({int(rank)})".rjust(12)
 
     for i, name in enumerate(methods):
-        cells = [cell(scores[i, j], ranks[i, j]) for j in range(len(metric_names))]
+        cells = [cell(scores[i, j], ranks[i, j]) for j in range(len(METRIC_NAMES))]
         cells.append(cell(averages[i], avg_rank[i]))
         lines.append(name.ljust(width) + "  ".join(cells))
     return "\n".join(lines)

@@ -61,7 +61,7 @@ class InterLayerCorrelation:
     def __call__(self, stack: Tensor) -> Tensor:
         return conv_chain(stack, self.block1, self.block2)
 
-    def params(self, prefix: str = "style") -> dict[str, Tensor]:
+    def params(self, prefix: str) -> dict[str, Tensor]:
         out = self.block1.params(f"{prefix}/cc1")
         out.update(self.block2.params(f"{prefix}/cc2"))
         return out

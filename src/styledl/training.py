@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import check_input_size
-from .dataio import Manifest, cooccurrence_adjacency, load_images, load_pixels, read_utf8
+from .dataio import (Manifest, cooccurrence_adjacency, load_images, load_pixels, read_utf8,
+                     reject_commas)
 from .errors import ConfigurationError, ContractViolation, FormatError, TrainingError
 from .losses import pred_loss, total_loss
 from .metrics import MetricReport, evaluate_metrics
@@ -108,6 +109,7 @@ def load_train_config(path: str | Path) -> TrainConfig:
     """Parse a flat key=value file whose keys are TrainConfig field names."""
     fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     values: dict = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,6 +119,9 @@ def load_train_config(path: str | Path) -> TrainConfig:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in fields:
             raise ConfigurationError(f"config line {lineno}: unknown key '{key}'")
+        if key in set_on:
+            raise FormatError(f"config line {lineno}: '{key}' is already set on line {set_on[key]}")
+        set_on[key] = lineno
         kind = fields[key]
         if kind in _NUMBER_TYPES:
             try:
@@ -161,7 +166,9 @@ class Checkpoint:
         once every byte is written: the bytes go to a temporary file in the
         same directory, which `os.replace` renames over `path`. If anything
         raises first, the temporary is removed and `path` keeps its old
-        bytes. Nothing is fsynced."""
+        bytes. Nothing is fsynced. A label name with a comma, which `load`
+        would split, raises ContractViolation first."""
+        reject_commas(self.label_names, "label name")
         entries: list[tuple[str, np.ndarray]] = []
         for field in dataclasses.fields(TrainConfig):
             value = getattr(self.config, field.name)
@@ -260,8 +267,12 @@ class Checkpoint:
         except ConfigurationError as exc:
             raise FormatError(f"{path}: 'config/*' entries: {exc}") from None
         n_labels = integer("meta/n_labels")
+        codes = required("meta/label_names").reshape(-1)
+        bad = codes[(codes != np.floor(codes)) | (codes < 0) | (codes > 255)]
+        if bad.size:
+            raise FormatError(f"{path}: entry 'meta/label_names' holds {bad[0]}, not a byte")
         try:
-            label_names = required("meta/label_names").astype(np.uint8).tobytes().decode("utf-8")
+            label_names = codes.astype(np.uint8).tobytes().decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: entry 'meta/label_names' is not utf-8") from None
         label_names = label_names.split(",")
@@ -350,6 +361,8 @@ def _read_entries(buf: mmap.mmap, path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError:
             raise FormatError(f"{path}: key of entry {label} is not utf-8 (offset {pos})") from None
         label = repr(key)
+        if key in entries:
+            raise FormatError(f"{path}: entry {label} appears a second time (offset {pos})")
         pos += klen
         need(4, "rank")
         (ndim,) = struct.unpack_from("<I", buf, pos)

@@ -43,8 +43,8 @@ def test_rejects_bad_input():
 def test_same_seed_same_params():
     a = Backbone(BackboneConfig(), np.random.default_rng(5))
     b = Backbone(BackboneConfig(), np.random.default_rng(5))
-    for key, t in a.params().items():
-        np.testing.assert_array_equal(t.data, b.params()[key].data)
+    for key, t in a.params("backbone").items():
+        np.testing.assert_array_equal(t.data, b.params("backbone")[key].data)
 
 
 def test_gradients_reach_first_conv():
@@ -52,5 +52,5 @@ def test_gradients_reach_first_conv():
     bb = Backbone(cfg, np.random.default_rng(3))
     _, _, x2 = bb.taps(Tensor(np.random.default_rng(2).random((1, 3, 32, 32))))
     bb.stages[4](bb.stages[3](x2)).sum().backward()
-    first = bb.params()["backbone/stage0/down/w"]
+    first = bb.params("backbone")["backbone/stage0/down/w"]
     assert first.grad is not None and np.abs(first.grad).max() > 0

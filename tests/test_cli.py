@@ -97,7 +97,8 @@ def test_train_rejects_out_of_range_config_before_reading_images(tmp_path, capsy
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("#labels: a,b\nmissing_0.ppm,0.5,0.5\nmissing_1.ppm,1,0\n")
     cfg = tmp_path / "train.cfg"
-    cfg.write_text(f"epochs=1\ninput_size=32\n{line}\n")
+    size = "" if line.startswith("input_size=") else "input_size=32\n"
+    cfg.write_text(f"epochs=1\n{size}{line}\n")
     assert main(["train", "--config", str(cfg), "--manifest", str(manifest),
                  "--out", str(tmp_path / "x.ckpt")]) == 1
     err = capsys.readouterr().err
@@ -125,15 +126,6 @@ def test_gen_synth_rejects_size_below_one(tmp_path, capsys, size):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "input_size" in err and err.count("\n") == 1, err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--tau", "2"), ("--threshold", "-1")])
-def test_build_adj_rejects_thresholds_outside_unit_interval(workdir, capsys, flag, value):
-    _, data, _ = workdir
-    assert main(["build-adj", "--manifest", str(data / "manifest.txt"), flag, value]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
 
 @pytest.mark.parametrize("text", ['{"name": "x"}', "[1, 2]", '{"metrics": {"kl": {}}}', "{"])

@@ -42,6 +42,18 @@ def test_manifest_round_trip(tmp_path):
     np.testing.assert_allclose(back.distributions(), m.distributions(), rtol=1e-15)
 
 
+@pytest.mark.parametrize("labels, path, bad", [
+    (["joy,calm", "fear"], "a.ppm", "label name 'joy,calm'"),
+    (["joy", "fear"], "a,b.ppm", "image path 'a,b.ppm'")], ids=["label-name", "image-path"])
+def test_save_manifest_rejects_a_comma_before_writing(tmp_path, labels, path, bad):
+    # the reader splits label names and rows at commas
+    m = Manifest(label_names=labels, records=[DatasetRecord(path, np.array([0.25, 0.75]))])
+    out = tmp_path / "manifest.txt"
+    with pytest.raises(ContractViolation, match=bad):
+        save_manifest(m, out)
+    assert not out.exists()
+
+
 def test_manifest_renormalizes_within_window(tmp_path):
     p = _write(tmp_path, "#labels: a,b\nx.ppm,0.503,0.503\n")
     m = load_manifest(p)
@@ -89,13 +101,19 @@ def test_manifest_distribution_rows_sum_to_one(c, seed):
 
 
 # ------------------------------------------------------------------ PPM
+def _payload(p, h, w):
+    """The [3,h,w] image in the last 3*h*w bytes of a P6 file, in [0,1]."""
+    hwc = np.frombuffer(p.read_bytes()[-3 * h * w:], np.uint8).reshape(h, w, 3)
+    return hwc.transpose(2, 0, 1) / 255.0
+
+
 def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     img = np.round(rng.random((3, 5, 7)) * 255) / 255.0
     p = tmp_path / "img.ppm"
     save_ppm(p, img)
-    back = load_ppm(p)
-    np.testing.assert_allclose(back, img, atol=1e-12)
+    assert p.read_bytes().startswith(b"P6\n7 5\n255\n")
+    np.testing.assert_allclose(_payload(p, 5, 7), img, atol=1e-12)
 
 
 @pytest.mark.parametrize("h, w", [(6, 6), (4, 7)])
@@ -104,7 +122,7 @@ def test_ppm_load_at_size_matches_resize(tmp_path, h, w):
     img = np.random.default_rng(h * w).random((3, h, w))
     p = tmp_path / "img.ppm"
     save_ppm(p, img)
-    raw = load_ppm(p)
+    raw = _payload(p, h, w)
     for size in (6, 3, 9):
         np.testing.assert_array_equal(load_ppm(p, size=size), resize_nearest(raw, size, size))
 
@@ -134,7 +152,7 @@ def test_ppm_comment_tolerant_header(tmp_path):
     p = tmp_path / "c.ppm"
     payload = bytes(range(12))
     p.write_bytes(b"P6 # style\n# full line comment\n2 2\n255\n" + payload)
-    img = load_ppm(p)
+    img = load_ppm(p, size=2)
     assert img.shape == (3, 2, 2)
     assert img[0, 0, 0] == 0.0 and abs(img[2, 1, 1] - 11 / 255) < 1e-12
 
@@ -143,13 +161,13 @@ def test_ppm_rejects_bad_files(tmp_path):
     p = tmp_path / "bad.ppm"
     p.write_bytes(b"P5\n2 2\n255\n" + bytes(12))
     with pytest.raises(FormatError):
-        load_ppm(p)
+        load_ppm(p, size=2)
     p.write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
     with pytest.raises(FormatError):
-        load_ppm(p)
+        load_ppm(p, size=2)
     p.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
     with pytest.raises(FormatError):
-        load_ppm(p)
+        load_ppm(p, size=2)
 
 
 def test_resize_and_flip():
@@ -326,7 +344,7 @@ def test_adjacency_two_label_hand_case():
     m = Manifest(label_names=["a", "b"],
                  records=[DatasetRecord("1", np.array([0.5, 0.5])),
                           DatasetRecord("2", np.array([0.95, 0.05]))])
-    adj = cooccurrence_adjacency(m, tau=0.1, binarize_t=0.3)
+    adj = cooccurrence_adjacency(m)
     np.testing.assert_allclose(adj, [[0.5, 0.5], [0.5, 0.5]])
 
 
@@ -351,22 +369,6 @@ def test_adjacency_rows_stochastic_and_empty_warns():
         empty = cooccurrence_adjacency(Manifest(["a", "b"], []))
     assert any("empty" in str(w.message) for w in caught)
     np.testing.assert_array_equal(empty, np.eye(2))
-
-
-@pytest.mark.parametrize("kw", [dict(tau=float("nan")), dict(tau=2.0), dict(tau=-0.1),
-                                dict(binarize_t=float("inf")), dict(binarize_t=1.5),
-                                dict(binarize_t=float("nan"))])
-def test_adjacency_rejects_thresholds_outside_unit_interval(kw):
-    m = Manifest(label_names=["a", "b"], records=[DatasetRecord("1", np.array([0.5, 0.5]))])
-    with pytest.raises(ConfigurationError, match=next(iter(kw))):
-        cooccurrence_adjacency(m, **kw)
-
-
-def test_adjacency_accepts_threshold_endpoints():
-    m = Manifest(label_names=["a", "b"], records=[DatasetRecord("1", np.array([0.5, 0.5]))])
-    np.testing.assert_allclose(cooccurrence_adjacency(m, tau=0.0, binarize_t=1.0),
-                               [[0.5, 0.5], [0.5, 0.5]])
-    np.testing.assert_allclose(cooccurrence_adjacency(m, tau=1.0, binarize_t=1.0), np.eye(2))
 
 
 # --------------------------------------------------------------- splits

@@ -80,7 +80,7 @@ def test_module_static_only_vs_dynamic():
     assert out_d.shape == (2, 4, 5)
     # dynamic stage changes the refinement
     assert np.abs(out_s.data - out_d.data).max() > 0
-    assert len(full.params()) > len(static_only.params())
+    assert len(full.params("gcn")) > len(static_only.params("gcn"))
 
 
 def test_grad_static_to_dynamic_composite():

@@ -49,7 +49,7 @@ def test_orders_count_and_param_count():
     assert len(outs) == 3
     assert all(o.shape == (2, 3, 4, 4) for o in outs)
     # 1+2+3 inner plus as many outer convs, each with w and b
-    assert len(att.params()) == 2 * (6 + 6)
+    assert len(att.params("hoa")) == 2 * (6 + 6)
 
 
 def test_rejects_bad_order_and_input():

@@ -131,7 +131,7 @@ def test_rank_properties(values, lower):
 
 def test_rank_tie_convention():
     # 1, 2, 2, 4: position after a tie is skipped
-    ranks = competition_rank(np.array([0.1, 0.5, 0.5, 0.9]))
+    ranks = competition_rank(np.array([0.1, 0.5, 0.5, 0.9]), lower_is_better=True)
     np.testing.assert_array_equal(ranks, [1, 2, 2, 4])
     higher = competition_rank(np.array([0.9, 0.5, 0.5, 0.1]), lower_is_better=False)
     np.testing.assert_array_equal(higher, [1, 2, 2, 4])
@@ -140,7 +140,7 @@ def test_rank_tie_convention():
 def test_rank_nan_warns_and_excludes():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ranks = competition_rank(np.array([0.2, np.nan, 0.1]))
+        ranks = competition_rank(np.array([0.2, np.nan, 0.1]), lower_is_better=True)
     assert any("NaN" in str(w.message) for w in caught)
     assert np.isnan(ranks[1])
     np.testing.assert_array_equal(ranks[[0, 2]], [2, 1])

@@ -57,6 +57,6 @@ def test_required_named_averages(name):
 def test_rank_table_renders_fixture():
     scores = TABLES["twitter"][0]
     entries = [(m, dict(zip(METRICS, row))) for m, row in zip(METHODS, scores)]
-    table = rank_table(entries, metric_names=METRICS)
+    table = rank_table(entries)
     ours = [line for line in table.splitlines() if line.startswith("Ours")][0]
     assert "0.42(1)" in ours and "1.50(1)" in ours

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -78,6 +79,9 @@ def test_config_rejects_bad_values(tmp_path):
         load_train_config(p)
     p.write_text("lr=0.5\nepochs=abc\n")
     with pytest.raises(FormatError, match="config line 2"):
+        load_train_config(p)
+    p.write_text("lr=0.5\nepochs=2\nlr=0.001\n")
+    with pytest.raises(FormatError, match="config line 3: 'lr' is already set on line 1"):
         load_train_config(p)
 
 
@@ -371,6 +375,26 @@ def test_checkpoint_save_that_fails_keeps_the_old_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
 
 
+def test_checkpoint_rejects_a_repeated_record(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    _pinned_checkpoint().save(path)
+    key = b"meta/epoch"
+    extra = struct.pack(f"<I{len(key)}sII", len(key), key, 1, 1) + np.array([7.0], "<f8").tobytes()
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(FormatError, match=f"twice.ckpt: entry 'meta/epoch' appears a second time "
+                                          f"\\(offset {size + 4}\\)"):
+        Checkpoint.load(path)
+
+
+def test_checkpoint_save_rejects_a_comma_in_a_label_name(tmp_path):
+    # load splits the joined names at commas, so this file would not load
+    path = tmp_path / "comma.ckpt"
+    with pytest.raises(ContractViolation, match="label name 'joy,calm'"):
+        _pinned_checkpoint(label_names=["joy,calm", "awe", "fear"]).save(path)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("overrides, entry", [
     (dict(label_names=["joy", "awe"]), "meta/label_names"),
     (dict(adjacency=np.eye(2)), "adjacency/static")])
@@ -432,7 +456,8 @@ def test_checkpoint_truncations_raise_format_error(corpus, tmp_path, capsys):
     ("meta/n_labels", np.nan), ("meta/label_names", 255.0), ("config/mu", 1.5),
     ("config/lam", -1.0), ("config/momentum", 1.0), ("config/seed", -1.0),
     ("config/input_size", 33.0), ("config/flip", 2.0), ("config/flip", -7.0),
-    ("config/gram_normalize", 0.5)])
+    ("config/gram_normalize", 0.5), ("meta/label_names", 362.0), ("meta/label_names", 106.5),
+    ("meta/label_names", -150.0)])
 def test_checkpoint_corrupt_values_raise_format_error(corpus, tmp_path, key, value):
     manifest, root = corpus
     path = tmp_path / "bad.ckpt"
