@@ -111,17 +111,28 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(label_names=label_names, records=records)
 
 
-def reject_commas(values: list[str], what: str) -> None:
-    """Raise ContractViolation naming a value that holds a comma, which the
-    reader of a comma-joined list of them would split."""
+def reject_unjoinable(values: list[str], what: str) -> None:
+    """Raise ContractViolation naming a value that would not come back from
+    a comma-joined list of them: an empty value, one holding a comma (the
+    separator) or a line break, or one with surrounding whitespace
+    (`load_manifest` reads each list as one line and strips each value)."""
     for value in values:
-        if "," in value:
-            raise ContractViolation(f"{what} {value!r} holds a comma, the list separator")
+        if not value:
+            problem = "is empty"
+        elif "," in value:
+            problem = "holds a comma, the list separator"
+        elif value.splitlines() != [value]:
+            problem = "holds a line break"
+        elif value != value.strip():
+            problem = "has surrounding whitespace"
+        else:
+            continue
+        raise ContractViolation(f"{what} {value!r} {problem}")
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    reject_commas(manifest.label_names, "label name")
-    reject_commas([r.image_path for r in manifest.records], "image path")
+    reject_unjoinable(manifest.label_names, "label name")
+    reject_unjoinable([r.image_path for r in manifest.records], "image path")
     path = Path(path)
     lines = ["#labels: " + ",".join(manifest.label_names)]
     for rec in manifest.records:
@@ -150,12 +161,18 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
+# bytes of a bad PPM magic that its error quotes
+_MAGIC_SHOWN = 8
+
+
 def _ppm_pixels(path: str | Path) -> np.ndarray:
     """Parse a binary P6 file into a read-only uint8 view [H,W,3] of its bytes."""
     buf = Path(path).read_bytes()
     magic, pos = _next_token(buf, 0)
     if magic != b"P6":
-        raise FormatError(f"{path}: not a binary PPM (magic {magic!r})")
+        # a text or binary file's first token can be its whole length
+        shown = repr(magic[:_MAGIC_SHOWN]) + ("..." if len(magic) > _MAGIC_SHOWN else "")
+        raise FormatError(f"{path}: not a binary PPM (magic {shown})")
     fields = []
     for _ in range(3):
         token, pos = _next_token(buf, pos)

@@ -163,9 +163,14 @@ class EmotionDistributionNet:
 
     def adversary(self, out: ForwardOutput) -> Tensor:
         """Order-diversity loss for this forward pass; constant zero when
-        the preset or order count leaves nothing to separate."""
-        if self.adv_head3 is None or self.adv_head4 is None:
+        the preset or order count leaves nothing to separate. A predictor
+        from `Checkpoint.build_model` holds no adversary heads, so it
+        raises ContractViolation where the preset has one."""
+        if not (self.flags.adversary and self.effective_orders > 1):
             return Tensor(0.0)
+        if self.adv_head3 is None or self.adv_head4 is None:
+            raise ContractViolation("this model holds no adversary heads: it was built for "
+                                    "prediction, which never reads them")
         return adversary_loss(out.x3, out.x4, self.adv_head3, self.adv_head4, self.effective_orders)
 
     # --------------------------------------------------------- parameters

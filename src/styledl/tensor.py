@@ -48,9 +48,10 @@ returns an uninitialized (``np.empty``) parameter of the requested shape
 and draws nothing, so the generator does not advance. It is built the
 same way as ``no_grad()``: blocks may nest and the mode ends with the
 block. It is meant for a model whose every parameter is overwritten
-before anything reads it: ``Checkpoint.build_model`` builds the network
-this way and then copies each array from the checkpoint, so rebuilding a
-saved model costs the file read and one copy per array, not a full init.
+or dropped before anything reads it: ``Checkpoint.build_model`` builds
+the network this way, drops the adversary heads and copies every other
+array from the checkpoint, so rebuilding a saved model costs the file
+read and one copy per array, not a full init.
 """
 from __future__ import annotations
 

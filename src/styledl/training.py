@@ -22,7 +22,7 @@ import numpy as np
 
 from .backbone import check_input_size
 from .dataio import (Manifest, cooccurrence_adjacency, load_images, load_pixels, read_utf8,
-                     reject_commas)
+                     reject_unjoinable)
 from .errors import ConfigurationError, ContractViolation, FormatError, TrainingError
 from .losses import pred_loss, total_loss
 from .metrics import MetricReport, evaluate_metrics
@@ -166,9 +166,20 @@ class Checkpoint:
         once every byte is written: the bytes go to a temporary file in the
         same directory, which `os.replace` renames over `path`. If anything
         raises first, the temporary is removed and `path` keeps its old
-        bytes. Nothing is fsynced. A label name with a comma, which `load`
-        would split, raises ContractViolation first."""
-        reject_commas(self.label_names, "label name")
+        bytes. Nothing is fsynced.
+
+        A checkpoint that `load` would reject raises ContractViolation
+        before any byte is written: label names that are not `n_labels`,
+        an adjacency that is not [n_labels, n_labels], or momentum keys
+        other than the parameter keys (or no parameters). So does a label
+        name that `dataio.reject_unjoinable` refuses, as in a manifest."""
+        reject_unjoinable(self.label_names, "label name")
+        if len(self.label_names) != self.n_labels:
+            raise ContractViolation(f"{len(self.label_names)} label names for {self.n_labels} labels")
+        if self.adjacency.shape != (self.n_labels, self.n_labels):
+            raise ContractViolation(f"adjacency {self.adjacency.shape} for {self.n_labels} labels")
+        if not self.params or set(self.velocity) != set(self.params):
+            raise ContractViolation("momentum keys must be the parameter keys, with at least one")
         entries: list[tuple[str, np.ndarray]] = []
         for field in dataclasses.fields(TrainConfig):
             value = getattr(self.config, field.name)
@@ -299,10 +310,16 @@ class Checkpoint:
         )
 
     def build_model(self) -> EmotionDistributionNet:
-        """The saved network, built without drawing an init: every weight
-        starts uninitialized, and its array is copied into that buffer, so
-        the model owns one writable array per parameter and allocates no
-        second one."""
+        """The saved network as a predictor, built without drawing an init:
+        every weight starts uninitialized, and its array is copied into that
+        buffer, so the model owns one writable array per parameter and
+        allocates no second one.
+
+        Every record's key and shape is checked against the whole network,
+        adversary included, but the adversary heads, which only training
+        reads, are dropped before the copy: the predictor's `parameters()`
+        holds no `adversary/*` key and its `adversary()` raises
+        ContractViolation where the preset has one."""
         with skip_init():
             model = build_model(self.config, self.n_labels)
         model.set_static_adjacency(self.adjacency)
@@ -312,7 +329,9 @@ class Checkpoint:
         for key, arr in self.params.items():
             if target[key].data.shape != arr.shape:
                 raise FormatError(f"checkpoint shape mismatch at {key}")
-            np.copyto(target[key].data, arr)
+        model.adv_head3 = model.adv_head4 = None
+        for key, t in model.parameters().items():
+            np.copyto(t.data, self.params[key])
         return model
 
 

@@ -54,6 +54,22 @@ def test_save_manifest_rejects_a_comma_before_writing(tmp_path, labels, path, ba
     assert not out.exists()
 
 
+@pytest.mark.parametrize("labels, path, bad", [
+    ([" joy", "fear"], "a.ppm", "label name ' joy' has surrounding whitespace"),
+    (["", "fear"], "a.ppm", "label name '' is empty"),
+    (["jo\ny", "fear"], "a.ppm", r"label name 'jo\\ny' holds a line break"),
+    (["joy", "fear"], " a.ppm", "image path ' a.ppm' has surrounding whitespace"),
+    (["joy", "fear"], "a\nb.ppm", r"image path 'a\\nb.ppm' holds a line break")])
+def test_save_manifest_rejects_what_load_manifest_would_change(tmp_path, labels, path, bad):
+    # load_manifest strips each value and reads each list as one line, so
+    # these came back changed or failed the reload
+    m = Manifest(label_names=labels, records=[DatasetRecord(path, np.array([0.25, 0.75]))])
+    out = tmp_path / "manifest.txt"
+    with pytest.raises(ContractViolation, match=bad):
+        save_manifest(m, out)
+    assert not out.exists()
+
+
 def test_manifest_renormalizes_within_window(tmp_path):
     p = _write(tmp_path, "#labels: a,b\nx.ppm,0.503,0.503\n")
     m = load_manifest(p)
@@ -135,6 +151,18 @@ def test_save_ppm_rejects_non_finite(tmp_path, bad):
     with pytest.raises(ContractViolation, match="nan.ppm"):
         save_ppm(p, img)
     assert not p.exists()
+
+
+def test_bad_ppm_magic_error_quotes_a_few_bytes(tmp_path):
+    # the first token of a 1 MB file with no whitespace is the whole file
+    p = tmp_path / "blob.ppm"
+    p.write_bytes(b"\x89PNG" * (1 << 18))
+    with pytest.raises(FormatError) as err:
+        load_ppm(p, size=8)
+    message = str(err.value)
+    shown = repr(b"\x89PNG\x89PNG")
+    assert message == f"{p}: not a binary PPM (magic {shown}...)"
+    assert "\n" not in message and len(message) < len(str(p)) + 60
 
 
 def test_save_ppm_leaves_its_input_unchanged(tmp_path):

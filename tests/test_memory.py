@@ -240,11 +240,24 @@ def test_checkpoint_load_maps_the_file(full_checkpoint):
 def test_build_model_holds_one_copy_of_each_weight(full_checkpoint):
     """`Checkpoint.load(p).build_model()` peaked at 11.88 MB for 3.54 MB
     of parameters: the file's copy, every placeholder and every copy of a
-    record. Copied into the placeholders, it peaks at the parameters."""
+    record. Copied into the placeholders, it peaks at the parameters, and
+    the predictor holds each weight its forward reads once."""
     path, param_bytes = full_checkpoint
-    _, held, peak = _traced(lambda: Checkpoint.load(path).build_model())
-    assert held >= param_bytes
+    model, held, peak = _traced(lambda: Checkpoint.load(path).build_model())
+    assert held >= sum(t.data.nbytes for t in model.parameters().values())
     assert peak <= param_bytes + 256 * 1024, (param_bytes, peak)
+
+
+def test_predictor_holds_only_its_forward_weights(full_checkpoint):
+    """The adversary heads, 0.80 of the 3.54 MB of parameters, only train:
+    the predictor checks their records but does not keep them."""
+    path, _ = full_checkpoint
+    ckpt = Checkpoint.load(path)
+    forward_bytes = sum(v.nbytes for k, v in ckpt.params.items()
+                        if not k.startswith("adversary/"))
+    assert forward_bytes < 2.8e6
+    _, held, _ = _traced(ckpt.build_model)
+    assert held <= forward_bytes + 64 * 1024, (forward_bytes, held)
 
 
 def test_forward_frees_the_style_taps_before_the_deep_stages():

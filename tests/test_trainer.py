@@ -396,16 +396,43 @@ def test_checkpoint_save_rejects_a_comma_in_a_label_name(tmp_path):
 
 
 @pytest.mark.parametrize("overrides, entry", [
-    (dict(label_names=["joy", "awe"]), "meta/label_names"),
-    (dict(adjacency=np.eye(2)), "adjacency/static")])
+    ((b"meta/n_labels" + struct.pack("<IId", 1, 1, 3.0),
+      b"meta/n_labels" + struct.pack("<IId", 1, 1, 2.0)), "meta/label_names"),
+    ((b"adjacency/static" + struct.pack("<3I", 2, 3, 3),
+      b"adjacency/static" + struct.pack("<3I", 2, 1, 9)), "adjacency/static")])
 def test_checkpoint_label_count_must_agree(tmp_path, capsys, overrides, entry):
+    """`save` refuses such a checkpoint, so each file is a saved one with
+    one record edited: `overrides` is (old bytes, new bytes). Three label
+    names for 2 labels, or a [1, 9] adjacency for 3 labels."""
     path = tmp_path / "mismatch.ckpt"
-    _pinned_checkpoint(**overrides).save(path)
+    _pinned_checkpoint().save(path)
+    old, new = overrides
+    buf = path.read_bytes()
+    assert buf.count(old) == 1
+    path.write_bytes(buf.replace(old, new))
     with pytest.raises(FormatError, match=f"mismatch.ckpt: entry '{entry}'"):
         Checkpoint.load(path)
     assert main(["predict", "--checkpoint", str(path), "--image", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: entry '{entry}'") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("overrides, bad", [
+    (dict(velocity={"stem/w": np.zeros((3, 4))}), "momentum keys"),
+    (dict(params={}, velocity={}), "momentum keys"),
+    (dict(label_names=["joy", "awe"]), "2 label names for 3 labels"),
+    (dict(adjacency=np.eye(2)), re.escape("adjacency (2, 2) for 3 labels"))],
+    ids=["momentum-keys", "no-params", "label-names", "adjacency"])
+def test_checkpoint_save_refuses_what_load_rejects(tmp_path, overrides, bad):
+    # each of these saved and then failed `load` with FormatError; now the
+    # previous file keeps its bytes and no temporary is left
+    path = tmp_path / "run.ckpt"
+    _pinned_checkpoint().save(path)
+    old = path.read_bytes()
+    with pytest.raises(ContractViolation, match=bad):
+        _pinned_checkpoint(**overrides).save(path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -637,12 +664,45 @@ def test_rebuilt_models_own_their_parameters():
     _, ckpt, _ = _stepped_checkpoint(_fast_cfg(ablation="full"))
     first = ckpt.build_model().parameters()
     second = ckpt.build_model().parameters()
-    assert set(first) == set(second) == set(ckpt.params)
-    for key, arr in ckpt.params.items():
+    forward_keys = [k for k in ckpt.params if not k.startswith("adversary/")]
+    assert len(forward_keys) < len(ckpt.params)
+    assert list(first) == list(second) == forward_keys
+    for key in forward_keys:
+        arr = ckpt.params[key]
         np.testing.assert_array_equal(first[key].data, arr)
         assert not np.shares_memory(first[key].data, second[key].data)
         assert not np.shares_memory(first[key].data, arr)
         assert not np.shares_memory(second[key].data, arr)
+
+
+@pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
+def test_predictor_holds_no_adversary(preset):
+    """The predictor's parameters are the checkpoint's minus `adversary/*`,
+    in checkpoint order. Its `adversary()` raises where the preset has an
+    adversary, and is the constant 0 where it has none, as in training."""
+    model, ckpt, x = _stepped_checkpoint(_fast_cfg(ablation=preset))
+    predictor = ckpt.build_model()
+    assert list(predictor.parameters()) == [k for k in ckpt.params
+                                            if not k.startswith("adversary/")]
+    out = predictor.forward(Tensor(x))
+    if model.adv_head3 is not None:
+        with pytest.raises(ContractViolation, match="no adversary heads"):
+            predictor.adversary(out)
+    else:
+        assert predictor.adversary(out).item() == 0.0 == model.adversary(out).item()
+
+
+@pytest.mark.parametrize("edit", ["missing", "reshaped"])
+def test_build_model_still_checks_the_adversary_records(edit):
+    _, ckpt, _ = _stepped_checkpoint(_fast_cfg(ablation="full"))
+    params = dict(ckpt.params)
+    key = "adversary/stage3/fc1/w"
+    if edit == "missing":
+        del params[key]
+    else:
+        params[key] = params[key].reshape(-1, 1)
+    with pytest.raises(FormatError, match="keys do not match" if edit == "missing" else key):
+        dataclasses.replace(ckpt, params=params).build_model()
 
 
 def test_build_model_draws_the_same_init_after_skip_init():
