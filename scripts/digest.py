@@ -17,10 +17,14 @@ each pair the protocol is:
   float64 [N, C] array's bytes in C order.
 
 Run with one BLAS thread (`OPENBLAS_NUM_THREADS=1`), as the recorded
-digests were, so that no result depends on how a GEMM was split.
+digests were, so that no result depends on how a GEMM was split. The
+checkpoint and prediction digests also depend on the OpenBLAS kernel, so
+the first line of the output names the kernel and the thread count of the
+library numpy bundles (`unknown` where it cannot be read).
 """
 
 import argparse
+import ctypes
 import hashlib
 import pathlib
 import tempfile
@@ -37,6 +41,28 @@ PREFIX = 12
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:PREFIX]
+
+
+def blas_kernel() -> tuple[str, str]:
+    """(core, threads) of the OpenBLAS bundled with numpy, read with ctypes;
+    `unknown` for what the library or its symbols do not give."""
+    here = pathlib.Path(np.__file__).parent
+    found = sorted([*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")])
+    try:
+        lib = ctypes.CDLL(str(found[0]))
+    except (IndexError, OSError):
+        return "unknown", "unknown"
+
+    def read(name, restype):
+        fn = getattr(lib, name, None)
+        if fn is None:
+            return "unknown"
+        fn.argtypes, fn.restype = [], restype
+        return fn()
+
+    core = read("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    threads = read("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return core.decode() if isinstance(core, bytes) else "unknown", str(threads)
 
 
 def corpus_digest(root: pathlib.Path) -> str:
@@ -72,6 +98,8 @@ def main() -> None:
 
     workdir = pathlib.Path(args.workdir or tempfile.mkdtemp(prefix="digest_"))
     workdir.mkdir(parents=True, exist_ok=True)
+    core, threads = blas_kernel()
+    print(f"OpenBLAS core {core}, {threads} thread(s)")
     print(f"{'preset':16s} {'size':>4s}  {'corpus':12s}  {'checkpoint':12s}  predictions")
     for pair in args.pairs:
         preset, size = pair.rsplit(":", 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import colorsys
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,52 +143,38 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
 
 
 # ----------------------------------------------------------------- PPM IO
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(buf)
-    while pos < n:
-        ch = buf[pos:pos + 1]
-        if ch == b"#":
-            while pos < n and buf[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not buf[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise FormatError("unexpected end of PPM header")
-    return buf[start:pos], pos
-
-
 # bytes of a bad PPM magic that its error quotes
 _MAGIC_SHOWN = 8
+# whitespace and '#' comments, each comment to its line's end so that a gap
+# parses one way and a failed match backtracks in linear time
+_GAP = rb"\s*(?:#[^\r\n]*(?![^\r\n])\s*)*"
+# the first token (to one byte past what its error quotes), then three
+# decimal fields after whitespace, and one whitespace byte before the payload
+_PPM_HEADER = re.compile(_GAP + (rb"([^\s#]\S{0,%d})" % _MAGIC_SHOWN)
+                         + rb"(?:" + (rb"\s" + _GAP + rb"(\d+)") * 3 + rb"\s)?")
 
 
 def _ppm_pixels(path: str | Path) -> np.ndarray:
     """Parse a binary P6 file into a read-only uint8 view [H,W,3] of its bytes."""
     buf = Path(path).read_bytes()
-    magic, pos = _next_token(buf, 0)
+    header = _PPM_HEADER.match(buf)
+    if header is None:
+        raise FormatError(f"{path}: unexpected end of PPM header")
+    magic = header[1]
     if magic != b"P6":
         # a text or binary file's first token can be its whole length
         shown = repr(magic[:_MAGIC_SHOWN]) + ("..." if len(magic) > _MAGIC_SHOWN else "")
         raise FormatError(f"{path}: not a binary PPM (magic {shown})")
-    fields = []
-    for _ in range(3):
-        token, pos = _next_token(buf, pos)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise FormatError(f"{path}: bad header token {token!r}") from None
-    width, height, maxval = fields
+    try:
+        width, height, maxval = map(int, header.groups()[1:])
+    except (TypeError, ValueError):  # no fields matched, or more digits than int() reads
+        raise FormatError(f"{path}: bad width, height or maxval after the PPM magic") from None
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{path}: maxval {maxval}, only 255 supported")
-    pos += 1  # single whitespace byte after maxval
     needed = width * height * 3
-    payload = buf[pos:pos + needed]
+    payload = memoryview(buf)[header.end():header.end() + needed]
     if len(payload) < needed:
         raise FormatError(f"{path}: truncated payload ({len(payload)} of {needed} bytes)")
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)

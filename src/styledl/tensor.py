@@ -44,14 +44,14 @@ trains as before once it is left. ``training.predict_batch`` (and with it
 other forward whose gradient is not needed in ``no_grad()`` too.
 
 Inside ``with skip_init():`` ``he_normal`` still checks ``fan_in`` but
-returns an uninitialized (``np.empty``) parameter of the requested shape
-and draws nothing, so the generator does not advance. It is built the
-same way as ``no_grad()``: blocks may nest and the mode ends with the
-block. It is meant for a model whose every parameter is overwritten
-or dropped before anything reads it: ``Checkpoint.build_model`` builds
-the network this way, drops the adversary heads and copies every other
-array from the checkpoint, so rebuilding a saved model costs the file
-read and one copy per array, not a full init.
+returns a read-only placeholder of the requested shape that holds no
+buffer, and draws nothing. Blocks may nest and the mode ends with the
+block, as for ``no_grad()``. It is meant for a model whose every
+parameter is replaced or dropped before anything reads it:
+``Checkpoint.build_model`` builds the network this way, checks each
+record's shape against it, drops the adversary heads and gives every
+other parameter an owned copy of its record, so a rebuild costs the file
+read and one copy per kept array, not a full init.
 """
 from __future__ import annotations
 
@@ -340,8 +340,8 @@ def no_grad() -> contextlib.AbstractContextManager[None]:
 
 
 def skip_init() -> contextlib.AbstractContextManager[None]:
-    """Leave the weights that ``he_normal`` makes inside the block
-    uninitialized; nesting is allowed."""
+    """Make the weights that ``he_normal`` makes inside the block
+    read-only, shape-only placeholders; nesting is allowed."""
     return _switched_off(_drawing_init)
 
 
@@ -981,12 +981,12 @@ def grad_reverse(x: Tensor) -> Tensor:
 
 # ----------------------------------------------------- parameters and SGD
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    """Kaiming-style fan-in init, the default for every weight here;
-    uninitialized, with nothing drawn from `rng`, inside ``skip_init()``."""
+    """Kaiming-style fan-in init, the default for every weight here; inside
+    ``skip_init()``, a read-only placeholder that holds no buffer and draws nothing."""
     if fan_in < 1:
         raise ConfigurationError(f"fan_in {fan_in}")
     if not _drawing_init.get():
-        return Tensor(np.empty(shape), requires_grad=True)
+        return Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
     scale = np.sqrt(2.0 / fan_in)
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
 

@@ -310,16 +310,13 @@ class Checkpoint:
         )
 
     def build_model(self) -> EmotionDistributionNet:
-        """The saved network as a predictor, built without drawing an init:
-        every weight starts uninitialized, and its array is copied into that
-        buffer, so the model owns one writable array per parameter and
-        allocates no second one.
-
-        Every record's key and shape is checked against the whole network,
-        adversary included, but the adversary heads, which only training
-        reads, are dropped before the copy: the predictor's `parameters()`
-        holds no `adversary/*` key and its `adversary()` raises
-        ContractViolation where the preset has one."""
+        """The saved network as a predictor, built under ``skip_init()``
+        without drawing an init. Every record's key and shape is checked
+        against the whole network's placeholders, adversary included; the
+        adversary heads, which only training reads, are then dropped, and
+        every other parameter gets one owned, writable copy of its record.
+        So the predictor's `parameters()` holds no `adversary/*` key and its
+        `adversary()` raises ContractViolation where the preset has one."""
         with skip_init():
             model = build_model(self.config, self.n_labels)
         model.set_static_adjacency(self.adjacency)
@@ -331,7 +328,7 @@ class Checkpoint:
                 raise FormatError(f"checkpoint shape mismatch at {key}")
         model.adv_head3 = model.adv_head4 = None
         for key, t in model.parameters().items():
-            np.copyto(t.data, self.params[key])
+            t.data = np.array(self.params[key], dtype=np.float64)
         return model
 
 
@@ -357,9 +354,9 @@ def _preallocate(f, size: int) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")  # a sum of the values may overflow
 def _read_entries(buf: mmap.mmap, path) -> dict[str, np.ndarray]:
-    """Decode every record after the magic as a read-only view of `buf`,
-    checking each read against the size of the file and each value for
-    being finite."""
+    """Decode every record after the magic as a read-only array whose base
+    is `buf`, checking each read against the size of the file and each
+    value for being finite."""
     entries: dict[str, np.ndarray] = {}
     pos, end = len(CHECKPOINT_MAGIC), len(buf)
     label = "#0"
@@ -393,7 +390,7 @@ def _read_entries(buf: mmap.mmap, path) -> dict[str, np.ndarray]:
         pos += 4 * ndim
         count = math.prod(shape)
         need(8 * count, "payload")
-        arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape)
+        arr = np.ndarray(shape, dtype="<f8", buffer=buf, offset=pos)
         # A finite sum means every value is finite (NaN and inf propagate),
         # with no one-byte-per-value mask; the mask then finds the bad value
         # or clears an overflowing sum. min and max need no mask either, but

@@ -215,17 +215,22 @@ def _traced(fn):
     return out, held, peak
 
 
-@pytest.fixture(scope="module")
-def full_checkpoint(tmp_path_factory) -> tuple[str, int]:
-    """A `full` 64 px checkpoint file of an untrained model (7.08 MB,
-    parameters and momentum), and its parameter bytes."""
-    model = build_model(TrainConfig(ablation="full", input_size=64), n_labels=8)
+def _save_full_checkpoint(path, size: int) -> int:
+    """Save a `full` checkpoint of an untrained model at `size` px to
+    `path`, parameters and momentum; return its parameter bytes."""
+    model = build_model(TrainConfig(ablation="full", input_size=size), n_labels=8)
     params = {k: t.data for k, t in model.parameters().items()}
-    path = tmp_path_factory.mktemp("ckpt") / "full.ckpt"
     Checkpoint(config=model.cfg, n_labels=8, label_names=[f"l{i}" for i in range(8)], epoch=0,
                params=params, velocity={k: np.zeros_like(v) for k, v in params.items()},
                adjacency=np.eye(8)).save(path)
-    return path, sum(v.nbytes for v in params.values())
+    return sum(v.nbytes for v in params.values())
+
+
+@pytest.fixture(scope="module")
+def full_checkpoint(tmp_path_factory) -> tuple[str, int]:
+    """A `full` 64 px checkpoint file (7.08 MB) and its parameter bytes."""
+    path = tmp_path_factory.mktemp("ckpt") / "full.ckpt"
+    return path, _save_full_checkpoint(path, 64)
 
 
 def test_checkpoint_load_maps_the_file(full_checkpoint):
@@ -258,6 +263,19 @@ def test_predictor_holds_only_its_forward_weights(full_checkpoint):
     assert forward_bytes < 2.8e6
     _, held, _ = _traced(ckpt.build_model)
     assert held <= forward_bytes + 64 * 1024, (forward_bytes, held)
+
+
+@pytest.mark.parametrize("size", [64, 128])
+def test_build_model_peaks_at_the_predictor_weights(tmp_path, size):
+    """While the dropped adversary heads got buffers of their own, loading
+    and building a `full` checkpoint peaked at 1.34x (64 px) and 2.16x
+    (128 px) the predictor's parameter bytes. With shape-only
+    placeholders it peaks at the kept copies plus the load's records."""
+    path = tmp_path / "full.ckpt"
+    _save_full_checkpoint(path, size)
+    model, _, peak = _traced(lambda: Checkpoint.load(path).build_model())
+    own = sum(t.data.nbytes for t in model.parameters().values())
+    assert peak <= 1.05 * own, (own, peak, peak / own)
 
 
 def test_forward_frees_the_style_taps_before_the_deep_stages():

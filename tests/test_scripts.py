@@ -11,10 +11,15 @@ from styledl.metrics import METRIC_NAMES
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _run(monkeypatch, name, argv):
+def _module(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _run(monkeypatch, name, argv):
+    module = _module(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
     module.main()
 
@@ -52,6 +57,21 @@ def test_digest_repeats(monkeypatch, capsys, tmp_path):
     rows = []
     for run in ("a", "b"):
         _run(monkeypatch, "digest", ["--pairs", "full:32", "--workdir", str(tmp_path / run)])
+        out = capsys.readouterr().out
+        # the digests hold for one BLAS kernel, which the first line names
+        assert re.match(r"OpenBLAS core \S+, (\d+|unknown) thread\(s\)\n", out), out
         rows.append(re.findall(r"^full +32 +([0-9a-f]{12}) +([0-9a-f]{12}) +([0-9a-f]{12})$",
-                               capsys.readouterr().out, flags=re.MULTILINE))
+                               out, flags=re.MULTILINE))
     assert len(rows[0]) == 1 and rows[0] == rows[1]
+
+
+def test_digest_blas_kernel_is_unknown_where_it_cannot_be_read(monkeypatch):
+    digest = _module("digest")
+
+    def missing(path):
+        raise OSError(path)
+
+    monkeypatch.setattr(digest.ctypes, "CDLL", missing)
+    assert digest.blas_kernel() == ("unknown", "unknown")
+    monkeypatch.setattr(digest.ctypes, "CDLL", lambda path: object())
+    assert digest.blas_kernel() == ("unknown", "unknown")

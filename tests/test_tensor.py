@@ -756,6 +756,16 @@ def test_he_normal_in_skip_init_draws_nothing():
     assert r.bit_generator.state == state
     assert w.shape == (4, 3, 3, 3) and w.data.dtype == np.float64 and w.requires_grad
     assert w.grad is None and w._grad_fn is None
+    # a read-only placeholder that holds no buffer of its shape
+    assert not w.data.flags.writeable and not any(w.data.strides)
+    tracemalloc.start()
+    try:
+        with T.skip_init():
+            big = T.he_normal(r, (256, 256, 3, 3), fan_in=2304)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert big.shape == (256, 256, 3, 3) and peak < 4096, peak
 
 
 def test_skip_init_restored_after_exception_and_nesting():
