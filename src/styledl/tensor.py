@@ -44,8 +44,9 @@ trains as before once it is left. ``training.predict_batch`` (and with it
 other forward whose gradient is not needed in ``no_grad()`` too.
 
 Inside ``with skip_init():`` ``he_normal`` still checks ``fan_in`` but
-returns a read-only placeholder of the requested shape that holds no
-buffer, and draws nothing. Blocks may nest and the mode ends with the
+returns a read-only placeholder of the requested shape whose strides
+are all 0, so it reads one shared 8-byte zero whatever its size, and
+draws nothing. Blocks may nest and the mode ends with the
 block, as for ``no_grad()``. It is meant for a model whose every
 parameter is replaced or dropped before anything reads it:
 ``Checkpoint.build_model`` builds the network this way, checks each
@@ -341,7 +342,8 @@ def no_grad() -> contextlib.AbstractContextManager[None]:
 
 def skip_init() -> contextlib.AbstractContextManager[None]:
     """Make the weights that ``he_normal`` makes inside the block
-    read-only, shape-only placeholders; nesting is allowed."""
+    read-only, shape-only placeholders that share one 8-byte zero;
+    nesting is allowed."""
     return _switched_off(_drawing_init)
 
 
@@ -980,13 +982,19 @@ def grad_reverse(x: Tensor) -> Tensor:
 
 
 # ----------------------------------------------------- parameters and SGD
+# the 8 bytes behind every `skip_init` placeholder; `bytes` makes it read-only
+_ZERO_BYTES = bytes(8)
+
+
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
     """Kaiming-style fan-in init, the default for every weight here; inside
-    ``skip_init()``, a read-only placeholder that holds no buffer and draws nothing."""
+    ``skip_init()``, a read-only placeholder that draws nothing: all its
+    strides are 0, so every element reads one shared 8-byte zero."""
     if fan_in < 1:
         raise ConfigurationError(f"fan_in {fan_in}")
     if not _drawing_init.get():
-        return Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
+        return Tensor(np.ndarray(shape, dtype=np.float64, buffer=_ZERO_BYTES,
+                                 strides=(0,) * len(shape)), requires_grad=True)
     scale = np.sqrt(2.0 / fan_in)
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
 

@@ -421,8 +421,9 @@ def test_checkpoint_label_count_must_agree(tmp_path, capsys, overrides, entry):
     (dict(velocity={"stem/w": np.zeros((3, 4))}), "momentum keys"),
     (dict(params={}, velocity={}), "momentum keys"),
     (dict(label_names=["joy", "awe"]), "2 label names for 3 labels"),
-    (dict(adjacency=np.eye(2)), re.escape("adjacency (2, 2) for 3 labels"))],
-    ids=["momentum-keys", "no-params", "label-names", "adjacency"])
+    (dict(adjacency=np.eye(2)), re.escape("adjacency (2, 2) for 3 labels")),
+    (dict(epoch=-1), "epoch -1 is below 0")],
+    ids=["momentum-keys", "no-params", "label-names", "adjacency", "negative-epoch"])
 def test_checkpoint_save_refuses_what_load_rejects(tmp_path, overrides, bad):
     # each of these saved and then failed `load` with FormatError; now the
     # previous file keeps its bytes and no temporary is left
@@ -484,7 +485,7 @@ def test_checkpoint_truncations_raise_format_error(corpus, tmp_path, capsys):
     ("config/lam", -1.0), ("config/momentum", 1.0), ("config/seed", -1.0),
     ("config/input_size", 33.0), ("config/flip", 2.0), ("config/flip", -7.0),
     ("config/gram_normalize", 0.5), ("meta/label_names", 362.0), ("meta/label_names", 106.5),
-    ("meta/label_names", -150.0)])
+    ("meta/label_names", -150.0), ("meta/epoch", -1.0)])
 def test_checkpoint_corrupt_values_raise_format_error(corpus, tmp_path, key, value):
     manifest, root = corpus
     path = tmp_path / "bad.ckpt"
@@ -545,6 +546,63 @@ def test_checkpoint_record_whose_sum_overflows_loads(tmp_path):
     path = tmp_path / "big.ckpt"
     ckpt.save(path)
     np.testing.assert_array_equal(Checkpoint.load(path).params["stem/w"], ckpt.params["stem/w"])
+
+
+@pytest.fixture(scope="module")
+def full_checkpoint_bytes(corpus, tmp_path_factory):
+    manifest, root = corpus
+    path = tmp_path_factory.mktemp("full") / "full.ckpt"
+    train(_fast_cfg(epochs=1, ablation="full"), manifest, root, out_path=path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["param/backbone/stage4/keep/w", "momentum/backbone/stage4/keep/w",
+                                 "adjacency/static"])
+def test_checkpoint_non_finite_last_value_is_a_format_error(full_checkpoint_bytes, tmp_path,
+                                                            key, value):
+    """The largest record, its momentum and the adjacency, each with the
+    bad value last, where a check that stopped early would miss it."""
+    buf = bytearray(full_checkpoint_bytes)
+    kb = key.encode()
+    head = struct.pack("<I", len(kb)) + kb
+    assert buf.count(head) == 1
+    pos = buf.index(head) + len(head)
+    (ndim,) = struct.unpack_from("<I", buf, pos)
+    count = math.prod(struct.unpack_from(f"<{ndim}I", buf, pos + 4))
+    at = pos + 4 + 4 * ndim + 8 * (count - 1)
+    buf[at:at + 8] = np.array([value], dtype="<f8").tobytes()
+    path = tmp_path / "last.ckpt"
+    path.write_bytes(bytes(buf))
+    message = f"{path}: entry '{key}' holds a non-finite value (offset {at})"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        Checkpoint.load(path)
+
+
+@pytest.mark.parametrize("value", [1e200, -1e200, 1.5e154])
+def test_checkpoint_record_whose_squares_overflow_loads(tmp_path, value):
+    # finite values whose sum is finite but whose sum of squares is not
+    ckpt = _pinned_checkpoint()
+    ckpt.params["stem/w"] = np.full((3, 4), value)
+    ckpt.velocity["stem/w"] = np.full((3, 4), -value)
+    path = tmp_path / "squares.ckpt"
+    ckpt.save(path)
+    loaded = Checkpoint.load(path)
+    assert loaded.params["stem/w"].tobytes() == ckpt.params["stem/w"].tobytes()
+    assert loaded.velocity["stem/w"].tobytes() == ckpt.velocity["stem/w"].tobytes()
+
+
+def test_checkpoint_record_with_a_zero_extent_loads(tmp_path):
+    ckpt = _pinned_checkpoint()
+    ckpt.params["stem/w"] = np.zeros((3, 0))
+    ckpt.velocity["stem/w"] = np.zeros((0, 4))
+    path = tmp_path / "empty.ckpt"
+    ckpt.save(path)
+    loaded = Checkpoint.load(path)
+    assert loaded.params["stem/w"].shape == (3, 0) and loaded.velocity["stem/w"].shape == (0, 4)
+    for key in ckpt.params:
+        if key != "stem/w":
+            np.testing.assert_array_equal(loaded.params[key], np.atleast_1d(ckpt.params[key]))
 
 
 def test_evaluate_label_mismatch(corpus, tmp_path):
