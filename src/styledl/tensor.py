@@ -51,8 +51,8 @@ block, as for ``no_grad()``. It is meant for a model whose every
 parameter is replaced or dropped before anything reads it:
 ``Checkpoint.build_model`` builds the network this way, checks each
 record's shape against it, drops the adversary heads and gives every
-other parameter an owned copy of its record, so a rebuild costs the file
-read and one copy per kept array, not a full init.
+other parameter its record (or a read-only copy of it), so a rebuild
+costs no full init.
 """
 from __future__ import annotations
 
@@ -1017,6 +1017,8 @@ class SGD:
     A parameter is updated either by `update`, during the backward walk
     (``loss.backward(opt.update)``), or by the `step` that ends the train
     step; both run the same operations, so the results are the same bits.
+    Every parameter must be writable: a read-only one, such as a weight of
+    ``Checkpoint.build_model``'s predictor, raises ContractViolation here.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.0,
@@ -1025,6 +1027,9 @@ class SGD:
             raise ConfigurationError(f"lr {lr} and weight_decay {weight_decay} must be finite and >= 0")
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum {momentum} outside [0, 1)")
+        for key, t in params.items():
+            if not t.data.flags.writeable:
+                raise ContractViolation(f"parameter {key} is read-only, so SGD cannot update it")
         self.params = dict(params)
         self.lr = lr
         self.momentum = momentum

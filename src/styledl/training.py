@@ -34,7 +34,11 @@ from .tensor import SGD, Tensor, no_grad, skip_init
 __all__ = ["CHECKPOINT_MAGIC", "Checkpoint", "EpochLog", "TrainConfig", "build_model", "evaluate",
            "load_images", "load_train_config", "lr_at", "predict_batch", "train"]
 
-CHECKPOINT_MAGIC = b"SEDL1"
+CHECKPOINT_MAGIC = b"SEDL2"
+# magic -> the byte alignment of every payload in the file: `save` writes
+# SEDL2, and SEDL1 files, whose payloads follow their shapes directly, load
+# as before
+_PAYLOAD_ALIGN = {b"SEDL1": 1, CHECKPOINT_MAGIC: 64}
 
 # TrainConfig field type -> the values it admits: numpy scalars count, and a
 # bool is no number
@@ -171,12 +175,20 @@ class Checkpoint:
         A checkpoint that `load` would reject raises ContractViolation
         before any byte is written: label names that are not `n_labels`,
         an adjacency that is not [n_labels, n_labels], momentum keys other
-        than the parameter keys (or no parameters), or a negative epoch.
-        So does a label name that `dataio.reject_unjoinable` refuses, as
-        in a manifest."""
+        than the parameter keys (or no parameters), an epoch below 0 or a
+        label count below 1. So does a label name that
+        `dataio.reject_unjoinable` refuses, as in a manifest, and an epoch,
+        label count or integer config field that a float64 record would not
+        give back: a bool, a non-integer or a value above 2**53.
+
+        The file is SEDL2: after the magic, one record per entry, each its
+        key length (u32), utf-8 key, rank (u32) and extents (u32 each),
+        zero bytes up to the next multiple of 64 in the file, and the
+        little-endian float64 payload in C order. So every payload is
+        64-byte aligned in a mapping of the file."""
         reject_unjoinable(self.label_names, "label name")
-        if self.epoch < 0:
-            raise ContractViolation(f"epoch {self.epoch} is below 0")
+        _check_count("epoch", self.epoch, low=0)
+        _check_count("n_labels", self.n_labels, low=1)
         if len(self.label_names) != self.n_labels:
             raise ContractViolation(f"{len(self.label_names)} label names for {self.n_labels} labels")
         if self.adjacency.shape != (self.n_labels, self.n_labels):
@@ -188,6 +200,8 @@ class Checkpoint:
             value = getattr(self.config, field.name)
             if field.name == "ablation":
                 value = list(ABLATION_PRESETS).index(value)
+            elif field.type == "int":
+                _check_count(f"config {field.name}", value, low=0)
             entries.append((f"config/{field.name}", np.array(float(value))))
         entries.append(("meta/epoch", np.array(float(self.epoch))))
         entries.append(("meta/n_labels", np.array(float(self.n_labels))))
@@ -198,17 +212,21 @@ class Checkpoint:
             entries.append((f"param/{key}", arr))
         for key, arr in self.velocity.items():
             entries.append((f"momentum/{key}", arr))
+        align = _PAYLOAD_ALIGN[CHECKPOINT_MAGIC]
         records = []
+        size = len(CHECKPOINT_MAGIC)
         for key, arr in entries:
-            data = np.ascontiguousarray(arr, dtype="<f8")
+            data = np.asarray(arr, dtype="<f8", order="C")  # keeps a 0-d array's rank
             kb = key.encode("utf-8")
-            records.append((struct.pack(f"<I{len(kb)}sI{data.ndim}I", len(kb), kb, data.ndim,
-                                        *data.shape), data))
+            head = struct.pack(f"<I{len(kb)}sI{data.ndim}I", len(kb), kb, data.ndim, *data.shape)
+            head += bytes(-(size + len(head)) % align)
+            records.append((head, data))
+            size += len(head) + data.nbytes
         path = Path(path)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as f:
-                _preallocate(f, len(CHECKPOINT_MAGIC) + sum(len(h) + d.nbytes for h, d in records))
+                _preallocate(f, size)
                 f.write(CHECKPOINT_MAGIC)
                 for head, data in records:
                     f.write(head)
@@ -220,9 +238,11 @@ class Checkpoint:
 
     @staticmethod
     def load(path: str | Path) -> "Checkpoint":
-        """Read a checkpoint file. A truncated or corrupt file, or one
-        holding a NaN or infinity, raises FormatError naming the path, the
-        entry and the byte offset.
+        """Read a SEDL2 or SEDL1 checkpoint file. The two differ only in
+        the zero bytes that SEDL2 puts before each payload; SEDL1 stores a
+        0-d array with shape (1,). A truncated or corrupt file, one holding
+        a NaN or infinity, or one with a non-zero pad byte, raises
+        FormatError naming the path, the entry and the byte offset.
 
         The file is mapped read-only, not read: every array of the result
         is a read-only view of the mapping, which (with the descriptor
@@ -236,11 +256,11 @@ class Checkpoint:
         """
         with open(path, "rb") as f:
             magic = f.read(len(CHECKPOINT_MAGIC))
-            if magic != CHECKPOINT_MAGIC:
+            if magic not in _PAYLOAD_ALIGN:
                 raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
             # mapping 0 bytes raises, so the magic is checked before the map
             buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        entries = _read_entries(buf, path)
+        entries = _read_entries(buf, path, _PAYLOAD_ALIGN[magic])
 
         def required(key: str) -> np.ndarray:
             if key not in entries:
@@ -319,10 +339,16 @@ class Checkpoint:
         """The saved network as a predictor, built under ``skip_init()``
         without drawing an init. Every record's key and shape is checked
         against the whole network's placeholders, adversary included; the
-        adversary heads, which only training reads, are then dropped, and
-        every other parameter gets one owned, writable copy of its record.
-        So the predictor's `parameters()` holds no `adversary/*` key and its
-        `adversary()` raises ContractViolation where the preset has one."""
+        adversary heads, which only training reads, are then dropped. So
+        the predictor's `parameters()` holds no `adversary/*` key and its
+        `adversary()` raises ContractViolation where the preset has one.
+
+        Every kept weight is read-only (SGD refuses it). A record of a
+        loaded SEDL2 file is used in place, with no copy: the predictor
+        shares the file's mapping and keeps it alive, so `load`'s caveat on
+        rewriting the file in place holds for the predictor's life too.
+        Any other record, of an in-memory checkpoint or of a SEDL1 file,
+        whose payloads are unaligned, gets a read-only copy."""
         with skip_init():
             model = build_model(self.config, self.n_labels)
         model.set_static_adjacency(self.adjacency)
@@ -334,8 +360,36 @@ class Checkpoint:
                 raise FormatError(f"checkpoint shape mismatch at {key}")
         model.adv_head3 = model.adv_head4 = None
         for key, t in model.parameters().items():
-            t.data = np.array(self.params[key], dtype=np.float64)
+            t.data = _predictor_weight(self.params[key])
         return model
+
+
+def _check_count(what: str, value, low: int) -> None:
+    """Raise ContractViolation unless `value` is an integer (not a bool) in
+    [low, 2**53], which a float64 record gives back unchanged."""
+    if not _FIELD_TYPES["int"](value):
+        raise ContractViolation(f"{what} {value!r} is not an integer")
+    if value < low:
+        raise ContractViolation(f"{what} {value} is below {low}")
+    if value > 2 ** 53:
+        raise ContractViolation(f"{what} {value} is above 2**53, past what a float64 holds exactly")
+
+
+def _predictor_weight(record: np.ndarray) -> np.ndarray:
+    """`record` itself where it is a float64 record of a mapped SEDL2 file,
+    which `load` has checked to sit on a 64-byte boundary; otherwise a
+    read-only copy. The check reads the mapping's magic, not the address:
+    `ndarray.ctypes.data` costs 1.2 us a record, 0.1 ms a build of a `full`
+    64 px predictor, whose load and build take 1.5 ms. Read in place,
+    SEDL1's unaligned records made single-image predictions 9.6% slower
+    (2-core VM, 1 BLAS thread)."""
+    base = record.base
+    if (isinstance(base, mmap.mmap) and base[:len(CHECKPOINT_MAGIC)] == CHECKPOINT_MAGIC
+            and record.dtype == np.float64):
+        return record
+    copy = np.array(record, dtype=np.float64)
+    copy.flags.writeable = False
+    return copy
 
 
 def _preallocate(f, size: int) -> None:
@@ -359,10 +413,11 @@ def _preallocate(f, size: int) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the squares of finite values may overflow
-def _read_entries(buf: mmap.mmap, path) -> dict[str, np.ndarray]:
+def _read_entries(buf: mmap.mmap, path, align: int) -> dict[str, np.ndarray]:
     """Decode every record after the magic as a read-only array whose base
-    is `buf`, checking each read against the size of the file and each
-    value for being finite."""
+    is `buf`, checking each read against the size of the file, the zero
+    bytes before each payload up to a multiple of `align`, and each value
+    for being finite."""
     entries: dict[str, np.ndarray] = {}
     pos, end = len(CHECKPOINT_MAGIC), len(buf)
     label = "#0"
@@ -394,6 +449,13 @@ def _read_entries(buf: mmap.mmap, path) -> dict[str, np.ndarray]:
         need(4 * ndim, "shape")
         shape = struct.unpack_from(f"<{ndim}I", buf, pos)
         pos += 4 * ndim
+        pad = -pos % align
+        need(pad, "padding")
+        rest = buf[pos:pos + pad].lstrip(b"\0")
+        if rest:
+            raise FormatError(f"{path}: entry {label} has a non-zero pad byte "
+                              f"(offset {pos + pad - len(rest)})")
+        pos += pad
         count = math.prod(shape)
         need(8 * count, "payload")
         arr = np.ndarray(shape, dtype="<f8", buffer=buf, offset=pos)

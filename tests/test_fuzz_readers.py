@@ -21,8 +21,8 @@ from styledl.errors import (ConfigurationError, ContractViolation, FormatError, 
 from styledl.metrics import evaluate_metrics, load_report
 from styledl.training import CHECKPOINT_MAGIC, Checkpoint, TrainConfig, load_train_config, train
 
-# One SEDL1 record of rank 65 whose extents are all 0, so its empty
-# payload fits the file; numpy cannot build an array of that rank.
+# One record of rank 65 whose extents are all 0: numpy cannot build an
+# array of that rank, so the rank must be refused before the shape is read.
 RANK_65_RECORD = struct.pack("<I", 4) + b"deep" + struct.pack("<I", 65) + bytes(4 * 65)
 
 TYPED_ERRORS = (ConfigurationError, ContractViolation, FormatError, TrainingError, ValidationError)

@@ -1,6 +1,7 @@
 """Config parsing, schedule, training loop behavior, checkpoint format."""
 import dataclasses
 import errno
+import gc
 import hashlib
 import math
 import re
@@ -317,26 +318,153 @@ def _pinned_checkpoint(**overrides):
     return Checkpoint(**fields)
 
 
-# SHA-256 of the SEDL1 file `_pinned_checkpoint().save` wrote when it was
-# recorded; it pins the record order, the config-field order and the preset codes.
+# SHA-256 of the SEDL1 file that `_pinned_checkpoint().save` wrote while
+# `save` wrote SEDL1, and that `_save_sedl1` writes now; it pins the record
+# order, the config-field order and the preset codes.
 PINNED_SEDL1_SHA256 = "978aa12b9dcf8e154344bcd3fff2934e31e080d9f6988a63156690f6dc7d399a"
+# SHA-256 of the SEDL2 file `_pinned_checkpoint().save` writes: the same
+# records with their payloads 64-byte aligned and a 0-d array of rank 0
+PINNED_SEDL2_SHA256 = "1de13769bf27f45c8f132dde88f9ba546e4d7c2195e36b62d6e33c72dac25578"
+
+
+def _save_sedl1(ckpt, path):
+    """Write `ckpt` as SEDL1, the format `save` wrote before SEDL2: each
+    record's key length, key, rank, extents and payload with no padding
+    between them, and a 0-d array stored with shape (1,)."""
+    entries = []
+    for field in dataclasses.fields(TrainConfig):
+        value = getattr(ckpt.config, field.name)
+        if field.name == "ablation":
+            value = list(ABLATION_PRESETS).index(value)
+        entries.append((f"config/{field.name}", float(value)))
+    entries += [("meta/epoch", float(ckpt.epoch)), ("meta/n_labels", float(ckpt.n_labels)),
+                ("meta/label_names", np.frombuffer(",".join(ckpt.label_names).encode(), np.uint8)),
+                ("adjacency/static", ckpt.adjacency)]
+    entries += [(f"param/{k}", v) for k, v in ckpt.params.items()]
+    entries += [(f"momentum/{k}", v) for k, v in ckpt.velocity.items()]
+    out = [b"SEDL1"]
+    for key, arr in entries:
+        data = np.atleast_1d(np.asarray(arr, dtype="<f8"))
+        kb = key.encode()
+        out.append(struct.pack(f"<I{len(kb)}sI{data.ndim}I", len(kb), kb, data.ndim, *data.shape))
+        out.append(data.tobytes(order="C"))
+    path.write_bytes(b"".join(out))
+
+
+def _records(buf):
+    """(key, offset of the extents, shape, offset of the payload) of each
+    record of the checkpoint bytes `buf`, SEDL1 or SEDL2, parsed here
+    apart from `Checkpoint.load`."""
+    align = {b"SEDL1": 1, b"SEDL2": 64}[bytes(buf[:5])]
+    pos = 5
+    while pos < len(buf):
+        (klen,) = struct.unpack_from("<I", buf, pos)
+        key = bytes(buf[pos + 4:pos + 4 + klen]).decode()
+        pos += 4 + klen
+        (ndim,) = struct.unpack_from("<I", buf, pos)
+        extents_at = pos + 4
+        shape = struct.unpack_from(f"<{ndim}I", buf, extents_at)
+        pos = extents_at + 4 * ndim
+        pos += -pos % align
+        yield key, extents_at, shape, pos
+        pos += 8 * math.prod(shape)
+
+
+def _record(buf, key):
+    """(offset of the extents, shape, offset of the payload) of record `key`."""
+    found = [rec[1:] for rec in _records(buf) if rec[0] == key]
+    assert len(found) == 1, (key, found)
+    return found[0]
+
+
+def _assert_loads_as(loaded, ckpt, sedl1=False):
+    """`loaded` holds `ckpt`'s fields and arrays bit for bit, in order; a
+    SEDL1 file gives a 0-d array back with shape (1,)."""
+    assert loaded.config == ckpt.config
+    assert (loaded.n_labels, loaded.label_names, loaded.epoch) == (
+        ckpt.n_labels, ckpt.label_names, ckpt.epoch)
+    np.testing.assert_array_equal(loaded.adjacency, ckpt.adjacency, strict=True)
+    for loaded_arrays, arrays in ((loaded.params, ckpt.params), (loaded.velocity, ckpt.velocity)):
+        assert list(loaded_arrays) == list(arrays)
+        for key, arr in arrays.items():
+            arr = np.asarray(arr, dtype=np.float64)
+            if sedl1:
+                arr = np.atleast_1d(arr)
+            np.testing.assert_array_equal(loaded_arrays[key], arr, strict=True)
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
     ckpt = _pinned_checkpoint()
     path = tmp_path / "pinned.ckpt"
     ckpt.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SEDL2_SHA256
+    loaded = Checkpoint.load(path)
+    assert loaded.params["scale"].shape == () == loaded.velocity["scale"].shape
+    _assert_loads_as(loaded, ckpt)
+
+
+def test_sedl1_file_loads_as_it_did(tmp_path):
+    """The pinned checkpoint written as SEDL1 has the recorded bytes, and
+    loads with the SEDL2 file's values; its 0-d arrays come back as (1,)."""
+    ckpt = _pinned_checkpoint()
+    path = tmp_path / "v1.ckpt"
+    _save_sedl1(ckpt, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SEDL1_SHA256
     loaded = Checkpoint.load(path)
-    assert loaded.config == ckpt.config
-    assert (loaded.n_labels, loaded.label_names, loaded.epoch) == (3, ["joy", "awe", "fear"], 7)
-    np.testing.assert_array_equal(loaded.adjacency, ckpt.adjacency)
-    for loaded_arrays, arrays in ((loaded.params, ckpt.params), (loaded.velocity, ckpt.velocity)):
-        assert list(loaded_arrays) == list(arrays)
-        for key, arr in arrays.items():
-            arr = np.atleast_1d(arr)  # SEDL1 stores a 0-d array with shape (1,)
-            assert loaded_arrays[key].dtype == np.float64 and loaded_arrays[key].shape == arr.shape
-            np.testing.assert_array_equal(loaded_arrays[key], arr)
+    assert loaded.params["scale"].shape == (1,) == loaded.velocity["scale"].shape
+    _assert_loads_as(loaded, ckpt, sedl1=True)
+
+
+@pytest.mark.parametrize("preset", ["full", "B"])
+def test_sedl1_file_loads_as_the_same_model(preset, tmp_path):
+    """A stepped model's checkpoint written as SEDL1 and as SEDL2 loads to
+    bit-equal parameters, and the two predictors predict the same bits."""
+    model, ckpt, x = _stepped_checkpoint(_fast_cfg(ablation=preset))
+    _save_sedl1(ckpt, tmp_path / "v1.ckpt")
+    ckpt.save(tmp_path / "v2.ckpt")
+    v1, v2 = (Checkpoint.load(tmp_path / name) for name in ("v1.ckpt", "v2.ckpt"))
+    _assert_loads_as(v1, ckpt, sedl1=True)
+    _assert_loads_as(v2, ckpt)
+    p1, p2 = v1.build_model(), v2.build_model()
+    for (k1, t1), (k2, t2) in zip(p1.parameters().items(), p2.parameters().items(), strict=True):
+        assert k1 == k2
+        np.testing.assert_array_equal(t1.data, t2.data, strict=True)
+    expected = predict_batch(model, x)
+    assert predict_batch(p1, x).tobytes() == predict_batch(p2, x).tobytes() == expected.tobytes()
+
+
+def test_sedl2_payloads_are_64_byte_aligned(full_checkpoint_bytes, tmp_path):
+    """In the file and in its mapping: every pad is zeros, every payload
+    starts at a multiple of 64, and the records end the file."""
+    buf = full_checkpoint_bytes
+    assert buf[:5] == b"SEDL2"
+    records = list(_records(buf))
+    assert len(records) > 150
+    end = 5
+    for key, extents_at, shape, at in records:
+        assert at % 64 == 0, key
+        assert buf[extents_at + 4 * len(shape):at] == bytes(at - extents_at - 4 * len(shape)), key
+        end = at + 8 * math.prod(shape)
+    assert end == len(buf)
+    path = tmp_path / "aligned.ckpt"
+    path.write_bytes(buf)
+    ckpt = Checkpoint.load(path)
+    for arr in [*ckpt.params.values(), *ckpt.velocity.values(), ckpt.adjacency]:
+        assert arr.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("key", ["config/R", "meta/label_names", "param/stem/w", "momentum/scale"])
+def test_checkpoint_non_zero_pad_byte_is_a_format_error(tmp_path, key):
+    path = tmp_path / "pad.ckpt"
+    _pinned_checkpoint().save(path)
+    buf = bytearray(path.read_bytes())
+    extents_at, shape, at = _record(buf, key)
+    assert at - extents_at - 4 * len(shape) > 0  # the record has a pad
+    buf[at - 1] = 0x20
+    path.write_bytes(bytes(buf))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: entry '{key}' has a non-zero pad byte (offset {at - 1})")):
+        Checkpoint.load(path)
 
 
 class _FillsUp:
@@ -396,20 +524,20 @@ def test_checkpoint_save_rejects_a_comma_in_a_label_name(tmp_path):
 
 
 @pytest.mark.parametrize("overrides, entry", [
-    ((b"meta/n_labels" + struct.pack("<IId", 1, 1, 3.0),
-      b"meta/n_labels" + struct.pack("<IId", 1, 1, 2.0)), "meta/label_names"),
-    ((b"adjacency/static" + struct.pack("<3I", 2, 3, 3),
-      b"adjacency/static" + struct.pack("<3I", 2, 1, 9)), "adjacency/static")])
+    (("meta/n_labels", "payload", np.array(2.0).tobytes()), "meta/label_names"),
+    (("adjacency/static", "extents", struct.pack("<2I", 1, 9)), "adjacency/static")])
 def test_checkpoint_label_count_must_agree(tmp_path, capsys, overrides, entry):
     """`save` refuses such a checkpoint, so each file is a saved one with
-    one record edited: `overrides` is (old bytes, new bytes). Three label
-    names for 2 labels, or a [1, 9] adjacency for 3 labels."""
+    one record edited: `overrides` is (record, its part, new bytes). Three
+    label names for 2 labels, or a [1, 9] adjacency for 3 labels."""
     path = tmp_path / "mismatch.ckpt"
     _pinned_checkpoint().save(path)
-    old, new = overrides
-    buf = path.read_bytes()
-    assert buf.count(old) == 1
-    path.write_bytes(buf.replace(old, new))
+    key, part, new = overrides
+    buf = bytearray(path.read_bytes())
+    extents_at, _, payload_at = _record(buf, key)
+    at = extents_at if part == "extents" else payload_at
+    buf[at:at + len(new)] = new
+    path.write_bytes(bytes(buf))
     with pytest.raises(FormatError, match=f"mismatch.ckpt: entry '{entry}'"):
         Checkpoint.load(path)
     assert main(["predict", "--checkpoint", str(path), "--image", str(path)]) == 1
@@ -422,10 +550,20 @@ def test_checkpoint_label_count_must_agree(tmp_path, capsys, overrides, entry):
     (dict(params={}, velocity={}), "momentum keys"),
     (dict(label_names=["joy", "awe"]), "2 label names for 3 labels"),
     (dict(adjacency=np.eye(2)), re.escape("adjacency (2, 2) for 3 labels")),
-    (dict(epoch=-1), "epoch -1 is below 0")],
-    ids=["momentum-keys", "no-params", "label-names", "adjacency", "negative-epoch"])
+    (dict(epoch=-1), "epoch -1 is below 0"),
+    (dict(epoch=1.5), "epoch 1.5 is not an integer"),
+    (dict(epoch=True), "epoch True is not an integer"),
+    (dict(epoch=2**60 + 1), re.escape("epoch 1152921504606846977 is above 2**53")),
+    (dict(epoch=2**53 + 1), re.escape("epoch 9007199254740993 is above 2**53")),
+    (dict(n_labels=3.5), "n_labels 3.5 is not an integer"),
+    (dict(n_labels=0, label_names=[], adjacency=np.zeros((0, 0))), "n_labels 0 is below 1"),
+    (dict(config=TrainConfig(seed=2**53 + 1)), re.escape("config seed 9007199254740993 is above"))],
+    ids=["momentum-keys", "no-params", "label-names", "adjacency", "negative-epoch",
+         "fractional-epoch", "bool-epoch", "epoch-2**60+1", "epoch-2**53+1", "fractional-labels",
+         "no-labels", "seed-2**53+1"])
 def test_checkpoint_save_refuses_what_load_rejects(tmp_path, overrides, bad):
-    # each of these saved and then failed `load` with FormatError; now the
+    # each of these saved and then failed `load` with FormatError, or loaded
+    # back as another value (2**60 + 1 as 2**60, True as 1); now the
     # previous file keeps its bytes and no temporary is left
     path = tmp_path / "run.ckpt"
     _pinned_checkpoint().save(path)
@@ -434,6 +572,14 @@ def test_checkpoint_save_refuses_what_load_rejects(tmp_path, overrides, bad):
         _pinned_checkpoint(**overrides).save(path)
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
+
+
+def test_checkpoint_save_takes_any_integer_count_up_to_2_53(tmp_path):
+    path = tmp_path / "run.ckpt"
+    _pinned_checkpoint(epoch=np.int64(7), n_labels=np.uint8(3)).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SEDL2_SHA256
+    _pinned_checkpoint(epoch=2**53).save(path)
+    assert Checkpoint.load(path).epoch == 2**53
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -491,7 +637,8 @@ def test_checkpoint_corrupt_values_raise_format_error(corpus, tmp_path, key, val
     path = tmp_path / "bad.ckpt"
     train(_fast_cfg(epochs=1), manifest, root, out_path=path)
     buf = bytearray(path.read_bytes())
-    at = buf.index(key.encode()) + len(key) + 8  # past the rank and the one extent
+    _, shape, at = _record(buf, key)
+    assert math.prod(shape) == 1 or key == "meta/label_names"
     buf[at:at + 8] = np.array([value], dtype="<f8").tobytes()
     path.write_bytes(bytes(buf))
     with pytest.raises(FormatError, match=key.split("/")[-1]):
@@ -499,6 +646,8 @@ def test_checkpoint_corrupt_values_raise_format_error(corpus, tmp_path, key, val
 
 
 def test_loaded_records_are_read_only_and_the_rebuilt_model_owns_its_params(corpus, tmp_path):
+    """The predictor of a loaded SEDL2 file owns only its adjacency: its
+    weights are the loaded records themselves, read-only."""
     manifest, root = corpus
     path = tmp_path / "views.ckpt"
     train(_fast_cfg(epochs=1, ablation="full"), manifest, root, out_path=path)
@@ -508,16 +657,42 @@ def test_loaded_records_are_read_only_and_the_rebuilt_model_owns_its_params(corp
     model = ckpt.build_model()
     assert model.static_adjacency.flags.owndata
     for key, t in model.parameters().items():
-        assert t.data.flags.owndata and t.data.flags.writeable, key
-        np.testing.assert_array_equal(t.data, ckpt.params[key])
+        assert t.data is ckpt.params[key] and not t.data.flags.writeable, key
     # a save over the mapped file renames a new file into place, so the
-    # loaded views keep the old bytes
+    # loaded views and the predictor keep the old bytes
     old = {k: v.copy() for k, v in ckpt.params.items()}
     dataclasses.replace(ckpt, params={k: v + 1.0 for k, v in old.items()}).save(path)
     np.testing.assert_array_equal(Checkpoint.load(path).params["fusion/conv_sc/w"],
                                   old["fusion/conv_sc/w"] + 1.0)
     for key, arr in ckpt.params.items():
         np.testing.assert_array_equal(arr, old[key])
+    for key, t in model.parameters().items():
+        np.testing.assert_array_equal(t.data, old[key])
+
+
+def test_predictor_weights_share_the_mapping_and_outlive_the_checkpoint(full_checkpoint_bytes,
+                                                                        corpus, tmp_path):
+    manifest, root = corpus
+    path = tmp_path / "shared.ckpt"
+    path.write_bytes(full_checkpoint_bytes)
+    ckpt = Checkpoint.load(path)
+    model = ckpt.build_model()
+    params = model.parameters()
+    assert params and all(not k.startswith("adversary/") for k in params)
+    for key, t in params.items():
+        assert not t.data.flags.writeable, key
+        assert np.shares_memory(t.data, ckpt.params[key]), key
+    with pytest.raises(ContractViolation, match=f"parameter {re.escape(next(iter(params)))} is "
+                                                f"read-only"):
+        SGD(params, lr=0.01)
+    pixels = load_pixels(manifest, root, 32)
+    expected = predict_batch(model, pixels)
+    copied = dataclasses.replace(ckpt, params={k: v.copy() for k, v in ckpt.params.items()})
+    del ckpt
+    gc.collect()
+    # the mapping stays while the predictor holds its records
+    assert predict_batch(model, pixels).tobytes() == expected.tobytes()
+    assert predict_batch(copied.build_model(), pixels).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -527,7 +702,7 @@ def test_checkpoint_non_finite_value_is_a_format_error(corpus, tmp_path, capsys,
     train(_fast_cfg(epochs=1, ablation="full"), manifest, root, out_path=path)
     key = "param/backbone/stage0/down/w"
     buf = bytearray(path.read_bytes())
-    at = buf.index(key.encode()) + len(key) + 4 + 4 * 4 + 8 * 5  # rank, 4 extents, 6th value
+    at = _record(buf, key)[2] + 8 * 5  # the 6th value
     buf[at:at + 8] = np.array([value], dtype="<f8").tobytes()
     path.write_bytes(bytes(buf))
     message = f"{path}: entry '{key}' holds a non-finite value (offset {at})"
@@ -564,13 +739,8 @@ def test_checkpoint_non_finite_last_value_is_a_format_error(full_checkpoint_byte
     """The largest record, its momentum and the adjacency, each with the
     bad value last, where a check that stopped early would miss it."""
     buf = bytearray(full_checkpoint_bytes)
-    kb = key.encode()
-    head = struct.pack("<I", len(kb)) + kb
-    assert buf.count(head) == 1
-    pos = buf.index(head) + len(head)
-    (ndim,) = struct.unpack_from("<I", buf, pos)
-    count = math.prod(struct.unpack_from(f"<{ndim}I", buf, pos + 4))
-    at = pos + 4 + 4 * ndim + 8 * (count - 1)
+    _, shape, payload_at = _record(buf, key)
+    at = payload_at + 8 * (math.prod(shape) - 1)
     buf[at:at + 8] = np.array([value], dtype="<f8").tobytes()
     path = tmp_path / "last.ckpt"
     path.write_bytes(bytes(buf))
@@ -602,7 +772,8 @@ def test_checkpoint_record_with_a_zero_extent_loads(tmp_path):
     assert loaded.params["stem/w"].shape == (3, 0) and loaded.velocity["stem/w"].shape == (0, 4)
     for key in ckpt.params:
         if key != "stem/w":
-            np.testing.assert_array_equal(loaded.params[key], np.atleast_1d(ckpt.params[key]))
+            np.testing.assert_array_equal(loaded.params[key],
+                                          np.asarray(ckpt.params[key], np.float64), strict=True)
 
 
 def test_evaluate_label_mismatch(corpus, tmp_path):
@@ -719,6 +890,8 @@ def test_rebuilt_model_draws_no_init_and_predicts_like_the_trained_one(preset, t
 
 
 def test_rebuilt_models_own_their_parameters():
+    """An in-memory checkpoint's writable records are not the predictor's:
+    each predictor gets read-only copies of its own."""
     _, ckpt, _ = _stepped_checkpoint(_fast_cfg(ablation="full"))
     first = ckpt.build_model().parameters()
     second = ckpt.build_model().parameters()
@@ -727,7 +900,9 @@ def test_rebuilt_models_own_their_parameters():
     assert list(first) == list(second) == forward_keys
     for key in forward_keys:
         arr = ckpt.params[key]
-        np.testing.assert_array_equal(first[key].data, arr)
+        np.testing.assert_array_equal(first[key].data, arr, strict=True)
+        for t in (first[key], second[key]):
+            assert t.data.flags.owndata and not t.data.flags.writeable, key
         assert not np.shares_memory(first[key].data, second[key].data)
         assert not np.shares_memory(first[key].data, arr)
         assert not np.shares_memory(second[key].data, arr)
